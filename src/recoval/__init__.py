@@ -81,7 +81,6 @@ from .montecarlo import (
     estimate_posterior,
     estimate_two_threshold,
     estimate_value,
-    inverse_cdf_sample,
 )
 from .receiver import (
     AcceptanceRegion,
@@ -102,6 +101,7 @@ from .value import (
     symmetric_system,
     symmetric_value,
     system_value,
+    system_values,
     value_accepting,
     value_no_rec,
     value_rejecting,

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,9 +27,10 @@ from .core import (
     Recommendation,
     RecommendationSystem,
     belief_decomposition,
+    posterior,
     recommendation_probabilities,
 )
-from .design import optimize_threshold, region_map
+from .design import REGION_MAPS, optimize_threshold, region_map
 from .distributions import PowerTypes, TypeDistribution, distribution_from_spec
 from .errors import ModelError
 from .extensions import (
@@ -37,6 +39,7 @@ from .extensions import (
     infinite_learning_policy,
     infinite_learning_value,
     multi_posterior,
+    multi_weights,
     neutral_indifferent_type,
     two_threshold_value,
 )
@@ -48,11 +51,13 @@ from .montecarlo import (
     estimate_two_threshold,
     estimate_value,
 )
+from .receiver import REGION_KINDS
 from .value import (
     quality_from_params,
     symmetric_buy_probability,
     symmetric_value,
     system_value,
+    system_values,
 )
 
 
@@ -97,27 +102,26 @@ def _require_number(data, path, lo=None, hi=None) -> float:
     if not isinstance(data, (int, float)) or isinstance(data, bool):
         raise ScenarioError(f"{path}: expected a number, got {data!r}")
     x = float(data)
+    if not math.isfinite(x):
+        raise ScenarioError(f"{path}: expected a finite number, got {x}")
     if lo is not None and x < lo or hi is not None and x > hi:
         raise ScenarioError(f"{path}: {x} outside [{lo}, {hi}]")
     return x
+
+
+_Q_KEYS = ("qH", "q1", "q2", "qL")
 
 
 def _parse_quality(data) -> QualityDistribution:
     if not isinstance(data, dict):
         raise ScenarioError("quality: expected an object")
     keys = set(data)
-    if keys == {"qH", "q1", "q2", "qL"}:
-        try:
+    try:
+        if keys == set(_Q_KEYS):
             return QualityDistribution(
-                q_h=_require_number(data["qH"], "quality.qH", 0.0, 1.0),
-                q_1=_require_number(data["q1"], "quality.q1", 0.0, 1.0),
-                q_2=_require_number(data["q2"], "quality.q2", 0.0, 1.0),
-                q_l=_require_number(data["qL"], "quality.qL", 0.0, 1.0),
+                *(_require_number(data[k], f"quality.{k}", 0.0, 1.0) for k in _Q_KEYS)
             )
-        except ModelError as exc:
-            raise ScenarioError(f"quality: {exc}") from exc
-    if keys in ({"Q", "sigma"}, {"Q", "sigma", "lambda"}):
-        try:
+        if keys in ({"Q", "sigma"}, {"Q", "sigma", "lambda"}):
             return quality_from_params(
                 prevalence=_require_number(data["Q"], "quality.Q", 0.0, 0.5),
                 good_odds=_require_number(data["sigma"], "quality.sigma"),
@@ -125,8 +129,8 @@ def _parse_quality(data) -> QualityDistribution:
                     data.get("lambda", 1.0), "quality.lambda"
                 ),
             )
-        except ModelError as exc:
-            raise ScenarioError(f"quality: {exc}") from exc
+    except ModelError as exc:
+        raise ScenarioError(f"quality: {exc}") from exc
     raise ScenarioError(
         "quality: expected keys {qH, q1, q2, qL} or {Q, sigma[, lambda]}"
     )
@@ -135,7 +139,7 @@ def _parse_quality(data) -> QualityDistribution:
 def _parse_types(data, path) -> TypeDistribution:
     try:
         return distribution_from_spec(data)
-    except (ModelError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
@@ -182,10 +186,8 @@ def parse_scenario(text: str) -> Scenario:
         if not 0.0 < threshold < 1.0:
             raise ScenarioError(f"threshold.R: {threshold} out of (0, 1)")
         try:
-            counts = MultiRecCount(
-                buys=int(spec["b"]), dont_buys=int(spec["d"])
-            )
-        except (ModelError, TypeError, ValueError) as exc:
+            counts = MultiRecCount(buys=int(spec["b"]), dont_buys=int(spec["d"]))
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ScenarioError(f"threshold: {exc}") from exc
     else:
         raise ScenarioError(
@@ -207,9 +209,7 @@ def _round12(x):
     if x is None:
         return None
     if isinstance(x, float):
-        if x != x or x in (float("inf"), float("-inf")):
-            return None
-        return float(f"{x:.12g}")
+        return float(f"{x:.12g}") if math.isfinite(x) else None
     return x
 
 
@@ -307,43 +307,31 @@ def _sweep_controversial_odds(quality) -> float:
 
 
 def _sweep_rows(scenario: Scenario, param: str, grid) -> list[tuple]:
-    rows = []
+    if param == "R":
+        batch = system_values(scenario.system(), grid)
+        return [
+            (float(x), float(v), float(p), REGION_KINDS[k])
+            for x, v, p, k in zip(grid, batch.value, batch.pi_buy, batch.region)
+        ]
     if param == "beta":
         if not scenario.sender_types.symmetric:
             raise ScenarioError("beta sweep requires a symmetric sender distribution")
-        prevalence = scenario.quality.prevalence
-        sigma = scenario.quality.good_odds
-        for x in grid:
-            rows.append(
-                (
-                    float(x),
-                    symmetric_value(prevalence, sigma, float(x)),
-                    symmetric_buy_probability(prevalence, sigma, float(x)),
-                    "all",
-                )
-            )
-        return rows
-    for x in grid:
-        x = float(x)
-        if param == "R":
-            system = scenario.system().with_threshold(x)
-        elif param in ("Q", "sigma"):
+        q, s = scenario.quality.prevalence, scenario.quality.good_odds
+        return [
+            (b, symmetric_value(q, s, b), symmetric_buy_probability(q, s, b), "all")
+            for b in map(float, grid)
+        ]
+    rows = []
+    for x in map(float, grid):
+        if param == "a":
+            variant = replace(scenario, sender_types=PowerTypes(x))
+        else:
             lam = _sweep_controversial_odds(scenario.quality)
             prevalence = x if param == "Q" else scenario.quality.prevalence
             sigma = scenario.quality.good_odds if param == "Q" else x
             quality = quality_from_params(prevalence, sigma, lam)
-            system = RecommendationSystem(
-                quality, scenario.sender_types, scenario.threshold,
-                receiver_types=scenario.receiver_types,
-            )
-        elif param == "a":
-            system = RecommendationSystem(
-                scenario.quality, PowerTypes(x), scenario.threshold,
-                receiver_types=scenario.receiver_types,
-            )
-        else:
-            raise ScenarioError(f"unknown sweep parameter {param!r}")
-        report = system_value(system)
+            variant = replace(scenario, quality=quality)
+        report = system_value(variant.system())
         rows.append((x, report.value, report.pi_buy, report.region.kind))
     return rows
 
@@ -356,8 +344,7 @@ def _cmd_sweep(scenario: Scenario, args):
     lo, hi = _SWEEP_DEFAULTS[args.param]
     lo = args.start if args.start is not None else lo
     hi = args.stop if args.stop is not None else hi
-    steps = args.steps if args.steps is not None else 101
-    grid = np.linspace(lo, hi, steps)
+    grid = np.linspace(lo, hi, _steps(args, 101))
     rows = _sweep_rows(scenario, args.param, grid)
     payload = [
         {"param": r[0], "value": r[1], "pi_buy": r[2], "region": r[3]} for r in rows
@@ -365,23 +352,22 @@ def _cmd_sweep(scenario: Scenario, args):
     return payload, (("param", "value", "pi_buy", "region"), rows)
 
 
-_FIGURES = {
-    "interior": "interior",
-    "panelA": "panelA",
-    "panelB": "panelB",
-    "panelC": "panelC",
-}
+def _steps(args, default: int) -> int:
+    if args.steps is None:
+        return default
+    if args.steps < 1:
+        raise ScenarioError(f"--steps must be at least 1, got {args.steps}")
+    return args.steps
 
 
 def _cmd_region_map(scenario: Scenario, args):
     if args.figure is None:
         raise ScenarioError("region-map requires --figure")
-    kind = _FIGURES[args.figure]
     rows = region_map(
-        kind,
+        args.figure,
         x_from=args.start,
         x_to=args.stop,
-        steps=args.steps if args.steps is not None else 101,
+        steps=_steps(args, 101),
         prevalence=scenario.quality.prevalence,
     )
     payload = [{"x": r[0], "y": r[1], "label": r[2]} for r in rows]
@@ -390,71 +376,51 @@ def _cmd_region_map(scenario: Scenario, args):
 
 def _simulate_single(scenario: Scenario, config: SimulationConfig):
     system = scenario.system()
-    rows = []
     pi_buy, _ = recommendation_probabilities(system)
-    rows.append(("pi_buy", estimate_pi_buy(system, config), pi_buy))
-    from .core import posterior as analytic_posterior
-
-    for rec, tag in ((Recommendation.BUY, "buy"), (Recommendation.DONT_BUY, "dont")):
+    rows = [("pi_buy", estimate_pi_buy(system, config), pi_buy)]
+    for rec, tag in ((Recommendation.BUY, "_buy"), (Recommendation.DONT_BUY, "_dont")):
         table = estimate_posterior(system, rec, config)
-        analytic = analytic_posterior(system, rec).probs
-        for comp, est, truth in zip(("H", "1", "2", "L"), table, analytic):
-            rows.append((f"p_{comp}_{tag}", est, truth))
+        rows += _posterior_rows(tag, table, posterior(system, rec).probs)
     rows.append(("value", estimate_value(system, config), system_value(system).value))
     return rows
 
 
 def _simulate_pair(scenario: Scenario, config: SimulationConfig):
     _require_common_population(scenario)
-    analytic = two_threshold_value(
-        scenario.quality, scenario.sender_types, scenario.pair
-    )
-    cfg = SimulationConfig(
-        samples=config.samples, seed=config.seed, mode="two_threshold"
-    )
-    est = estimate_two_threshold(
-        scenario.quality, scenario.sender_types, scenario.pair, cfg
-    )
+    q, dist, pair = scenario.quality, scenario.sender_types, scenario.pair
+    analytic = two_threshold_value(q, dist, pair)
+    est = estimate_two_threshold(q, dist, pair, replace(config, mode="two_threshold"))
     return [("two_threshold_value", est, analytic)]
 
 
 def _simulate_counts(scenario: Scenario, config: SimulationConfig):
-    cfg = SimulationConfig(
-        samples=config.samples,
-        seed=config.seed,
-        mode="multi",
-        buys=scenario.counts.buys,
-        dont_buys=scenario.counts.dont_buys,
-    )
+    counts = scenario.counts
+    cfg = replace(config, mode="multi", buys=counts.buys, dont_buys=counts.dont_buys)
     result = estimate_multi(scenario.system(), cfg)
     analytic = multi_posterior(
         scenario.quality, scenario.sender_types, scenario.threshold, scenario.counts
     ).probs
-    rows = [("event_prob", result.value, None)]
-    for comp, est, truth in zip(("H", "1", "2", "L"), result.posterior, analytic):
-        rows.append((f"p_{comp}", est, truth))
-    return rows
+    rows = _posterior_rows("", result.posterior, analytic)
+    return [("event_prob", result.value, None), *rows]
 
 
 def _simulate_infinite(scenario: Scenario, config: SimulationConfig):
-    cfg = SimulationConfig(samples=config.samples, seed=config.seed, mode="infinite")
-    system = RecommendationSystem(
-        quality=scenario.quality,
-        sender_types=scenario.sender_types,
-        threshold=0.5,
-        receiver_types=scenario.receiver_types,
-    )
-    result = estimate_multi(system, cfg)
-    analytic_value = infinite_learning_value(
-        scenario.quality, scenario.receiver_types
-    )
-    q = scenario.quality
+    system = replace(scenario, threshold=0.5).system()
+    result = estimate_multi(system, replace(config, mode="infinite"))
+    analytic_value = infinite_learning_value(scenario.quality, scenario.receiver_types)
+    truths = (0.0, *_mixed_shares(scenario.quality), 0.0)
+    rows = _posterior_rows("_mixed", result.posterior, truths)
+    return [("value_infinite", result.value, analytic_value), *rows]
+
+
+def _posterior_rows(tag: str, estimates, truths) -> list[tuple]:
+    return [(f"p_{c}{tag}", e, t) for c, e, t in zip("H12L", estimates, truths)]
+
+
+def _mixed_shares(q: QualityDistribution) -> tuple:
+    """Controversial-version odds after mixed reports, None without any."""
     both = q.q_1 + q.q_2
-    rows = [("value_infinite", result.value, analytic_value)]
-    truths = (0.0, q.q_1 / both if both else None, q.q_2 / both if both else None, 0.0)
-    for comp, est, truth in zip(("H", "1", "2", "L"), result.posterior, truths):
-        rows.append((f"p_{comp}_mixed", est, truth))
-    return rows
+    return (q.q_1 / both, q.q_2 / both) if both > 0.0 else (None, None)
 
 
 def _cmd_simulate(scenario: Scenario, args):
@@ -467,91 +433,57 @@ def _cmd_simulate(scenario: Scenario, args):
         "infinite": _simulate_infinite,
     }[scenario.kind]
     triples = handler(scenario, config)
-    payload = []
-    rows = []
-    for name, est, analytic in triples:
-        record = {"name": name, **est.to_record(), "analytic": analytic}
-        payload.append(record)
-        rows.append((name, est.estimate, est.stderr, est.samples, est.seed, analytic))
+    payload = [{"name": n, **e.to_record(), "analytic": t} for n, e, t in triples]
+    rows = [(n, e.estimate, e.stderr, e.samples, e.seed, t) for n, e, t in triples]
     return payload, (("name", "estimate", "stderr", "n", "seed", "analytic"), rows)
 
 
 def _apply_threshold_flags(scenario: Scenario, args) -> Scenario:
     """Let --R1/--R2, --b/--d and --infinite override the scenario threshold."""
+    variant = replace(scenario, threshold=None, pair=None, counts=None, infinite=False)
     if getattr(args, "r1", None) is not None or getattr(args, "r2", None) is not None:
         if args.r1 is None or args.r2 is None:
             raise ScenarioError("--R1 and --R2 must be given together")
-        pair = ThresholdPair(low=args.r1, high=args.r2)
-        return Scenario(
-            scenario.quality, scenario.sender_types, scenario.receiver_types,
-            threshold=None, pair=pair,
-        )
+        return replace(variant, pair=ThresholdPair(low=args.r1, high=args.r2))
     if getattr(args, "infinite", False):
-        return Scenario(
-            scenario.quality, scenario.sender_types, scenario.receiver_types,
-            threshold=None, infinite=True,
-        )
+        return replace(variant, infinite=True)
     if getattr(args, "b", None) is not None or getattr(args, "d", None) is not None:
         if scenario.threshold is None:
             raise ScenarioError("report counts need a single threshold for the senders")
         counts = MultiRecCount(buys=args.b or 0, dont_buys=args.d or 0)
-        return Scenario(
-            scenario.quality, scenario.sender_types, scenario.receiver_types,
-            threshold=scenario.threshold, counts=counts,
-        )
+        return replace(variant, threshold=scenario.threshold, counts=counts)
     return scenario
-
-
-def _count_event_probability(scenario: Scenario) -> float:
-    from math import comb
-
-    from .core import version_buy_probabilities
-
-    phi_1, phi_2 = version_buy_probabilities(
-        scenario.sender_types, scenario.threshold
-    )
-    b, d = scenario.counts.buys, scenario.counts.dont_buys
-    q = scenario.quality.as_tuple()
-    per_version = (1.0, phi_1, phi_2, 0.0)
-    return comb(b + d, b) * sum(
-        qs * p**b * (1.0 - p) ** d for qs, p in zip(q, per_version)
-    )
 
 
 def _cmd_multi(scenario: Scenario, args):
     scenario = _apply_threshold_flags(scenario, args)
     if scenario.kind == "counts":
-        post = multi_posterior(
-            scenario.quality,
-            scenario.sender_types,
-            scenario.threshold,
-            scenario.counts,
-        )
-        record = {
+        counts = scenario.counts
+        env = (scenario.quality, scenario.sender_types, scenario.threshold, counts)
+        post, weights = multi_posterior(*env), multi_weights(*env)
+        b, d = counts.buys, counts.dont_buys
+        return {
             "recommendation": post.recommendation.value,
             "p_H": post.p_h,
             "p_1": post.p_1,
             "p_2": post.p_2,
             "p_L": post.p_l,
-            "event_prob": _count_event_probability(scenario),
-            "b": scenario.counts.buys,
-            "d": scenario.counts.dont_buys,
-        }
-        return record, None
+            "event_prob": math.comb(b + d, b) * sum(weights),
+            "b": b,
+            "d": d,
+        }, None
     if scenario.kind == "infinite":
         policy = infinite_learning_policy(scenario.quality)
-        q = scenario.quality
-        both = q.q_1 + q.q_2
-        record = {
+        p_1, p_2 = _mixed_shares(scenario.quality)
+        return {
             "value_infinite": infinite_learning_value(
                 scenario.quality, scenario.receiver_types
             ),
             "cutoff": policy.cutoff,
             "direction": policy.direction,
-            "p_1_mixed": q.q_1 / both if both > 0.0 else None,
-            "p_2_mixed": q.q_2 / both if both > 0.0 else None,
-        }
-        return record, None
+            "p_1_mixed": p_1,
+            "p_2_mixed": p_2,
+        }, None
     raise ScenarioError("multi needs --b/--d, --infinite, or a matching scenario")
 
 
@@ -581,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--steps", type=int, default=None)
     parser.add_argument("--samples", type=int, default=1_000_000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--figure", choices=sorted(_FIGURES), default=None)
+    parser.add_argument("--figure", choices=sorted(REGION_MAPS), default=None)
     parser.add_argument("--b", type=int, default=None)
     parser.add_argument("--d", type=int, default=None)
     parser.add_argument("--infinite", action="store_true")
@@ -597,10 +529,7 @@ def main(argv=None) -> int:
             scenario = parse_scenario(fh.read())
         payload, rows = _COMMANDS[args.command](scenario, args)
         text = _emit(payload, rows, args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ModelError as exc:
+    except (OSError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:

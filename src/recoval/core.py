@@ -13,11 +13,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .distributions import TypeDistribution
 from .errors import (
     DecompositionUndefinedError,
     ModelError,
     UnreachableRecommendationError,
+    require_finite,
 )
 
 GOOD = (1, 1)
@@ -55,6 +58,7 @@ class QualityDistribution:
 
     def __post_init__(self):
         comps = self.as_tuple()
+        require_finite("quality probabilities", *comps)
         if any(c < 0.0 for c in comps):
             raise ModelError(f"negative probability in {comps}")
         if abs(sum(comps) - 1.0) > _PROB_TOL:
@@ -117,7 +121,7 @@ class Posterior:
 
     def __post_init__(self):
         p = self.probs
-        if any(c < -_PROB_TOL for c in p) or abs(sum(p) - 1.0) > _PROB_TOL:
+        if not (all(c >= -_PROB_TOL for c in p) and abs(sum(p) - 1.0) <= _PROB_TOL):
             raise ModelError(f"posterior {p} is not a probability vector")
         if self.recommendation is Recommendation.BUY and p[3] != 0.0:
             raise ModelError("buy posterior must rule out the bad version")
@@ -163,6 +167,21 @@ class BeliefDecomposition:
     k: float
 
 
+def check_posteriors(probs: np.ndarray, rec: Recommendation) -> None:
+    """Raise unless every column of ``probs`` (shape (4,) or (4, n)) is a
+    probability vector that rules out the versions ``rec`` excludes."""
+    ok = (probs >= -_PROB_TOL).all(axis=0) & (abs(probs.sum(axis=0) - 1.0) <= _PROB_TOL)
+    if not ok.all():
+        bad = tuple(np.reshape(probs, (4, -1))[:, np.argmin(ok)].tolist())
+        raise ModelError(f"posterior {bad} is not a probability vector")
+    if rec is Recommendation.BUY and probs[3].any():
+        raise ModelError("buy posterior must rule out the bad version")
+    if rec is Recommendation.DONT_BUY and probs[0].any():
+        raise ModelError("dont-buy posterior must rule out the good version")
+    if rec is Recommendation.NEUTRAL and (probs[0].any() or probs[3].any()):
+        raise ModelError("neutral posterior must rule out both extremes")
+
+
 def payoff(version: tuple[int, int], i: float) -> float:
     """Realized payoff of a type-``i`` consumer from ``version``."""
     if version not in VERSIONS:
@@ -183,15 +202,15 @@ def sender_recommendation(
     return Recommendation.DONT_BUY
 
 
-def version_buy_probabilities(
-    dist: TypeDistribution, threshold: float
-) -> tuple[float, float]:
+def version_buy_probabilities(dist: TypeDistribution, threshold):
     """Probability of a buy recommendation for each controversial version.
 
     A random sender recommends (1, 0) when her type is at least
     threshold - 1/2, and (0, 1) when it is at most 1/2 - threshold.
+    ``threshold`` may be an array of thresholds.
     """
-    if not 0.0 < threshold < 1.0:
+    t = np.asarray(threshold)
+    if not ((t > 0.0) & (t < 1.0)).all():
         raise ModelError(f"threshold {threshold} outside (0, 1)")
     phi_1 = 1.0 - dist.cdf(threshold - 0.5)
     phi_2 = dist.cdf(0.5 - threshold)
@@ -206,37 +225,40 @@ def recommendation_probabilities(system: RecommendationSystem) -> tuple[float, f
     return pi_buy, 1.0 - pi_buy
 
 
-def posterior(system: RecommendationSystem, rec: Recommendation) -> Posterior:
-    """Bayesian posterior over versions given a recommendation."""
-    q = system.quality
-    phi_1, phi_2 = version_buy_probabilities(system.sender_types, system.threshold)
+def _posterior_weights(quality, phi_1, phi_2, rec: Recommendation):
+    """Name, probability and unnormalized posterior weights of ``rec``;
+    ``phi_1`` and ``phi_2`` may be floats or arrays."""
+    q = quality
     pi_buy = q.q_h + q.q_1 * phi_1 + q.q_2 * phi_2
     if rec is Recommendation.BUY:
-        if pi_buy <= 0.0:
-            raise UnreachableRecommendationError(
-                "buy recommendation has zero probability"
-            )
-        probs = (
-            q.q_h / pi_buy,
-            q.q_1 * phi_1 / pi_buy,
-            q.q_2 * phi_2 / pi_buy,
-            0.0,
+        return "buy", pi_buy, (q.q_h, q.q_1 * phi_1, q.q_2 * phi_2, 0.0)
+    if rec is Recommendation.DONT_BUY:
+        weights = (0.0, q.q_1 * (1.0 - phi_1), q.q_2 * (1.0 - phi_2), q.q_l)
+        return "dont-buy", 1.0 - pi_buy, weights
+    raise ModelError(f"single-threshold systems emit buy/dont-buy, not {rec}")
+
+
+def posterior_probs(quality, phi_1, phi_2, rec: Recommendation) -> np.ndarray:
+    """Checked posteriors as a (4, n) array, one column per (phi_1, phi_2)."""
+    name, total, weights = _posterior_weights(quality, phi_1, phi_2, rec)
+    if (total <= 0.0).any():
+        raise UnreachableRecommendationError(
+            f"{name} recommendation has zero probability"
         )
-    elif rec is Recommendation.DONT_BUY:
-        pi_dont = 1.0 - pi_buy
-        if pi_dont <= 0.0:
-            raise UnreachableRecommendationError(
-                "dont-buy recommendation has zero probability"
-            )
-        probs = (
-            0.0,
-            q.q_1 * (1.0 - phi_1) / pi_dont,
-            q.q_2 * (1.0 - phi_2) / pi_dont,
-            q.q_l / pi_dont,
+    probs = np.array([w / total for w in weights])
+    check_posteriors(probs, rec)
+    return probs
+
+
+def posterior(system: RecommendationSystem, rec: Recommendation) -> Posterior:
+    """Bayesian posterior over versions given a recommendation."""
+    phi_1, phi_2 = version_buy_probabilities(system.sender_types, system.threshold)
+    name, total, weights = _posterior_weights(system.quality, phi_1, phi_2, rec)
+    if total <= 0.0:
+        raise UnreachableRecommendationError(
+            f"{name} recommendation has zero probability"
         )
-    else:
-        raise ModelError(f"single-threshold systems emit buy/dont-buy, not {rec}")
-    return Posterior(recommendation=rec, probs=probs)
+    return Posterior(recommendation=rec, probs=tuple(w / total for w in weights))
 
 
 def belief_decomposition(system: RecommendationSystem) -> BeliefDecomposition:

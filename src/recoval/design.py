@@ -19,12 +19,14 @@ from .core import RecommendationSystem
 from .distributions import PowerTypes
 from .errors import ClosedFormInapplicableError, ModelError
 from .receiver import acceptance_region
-from .value import quality_from_params, system_value
+from .value import quality_from_params, system_value, system_values
 
 INCREASING = "increasing_in_R"
 DECREASING = "decreasing_in_R"
 CONSTANT = "constant_in_R"
 INTERIOR = "interior_optimum"
+
+REGION_MAPS = ("interior", "panelA", "panelB", "panelC")
 
 _GRID_LO = 1e-4
 _GRID_HI = 1.0 - 1e-4
@@ -147,22 +149,29 @@ def interior_conditions(
     """
     if a <= 0.0 or not 0.0 <= prevalence < 0.5 or good_odds <= 0.0:
         raise ModelError("need a > 0, prevalence in [0, 1/2), positive odds")
-    if prevalence > 1.0 - max(a / (a + 1.0), 1.0 / (a + 1.0)):
-        return "interior"
-    num1 = 1.0 - prevalence * (a + 1.0)
-    num2 = a - prevalence * (a + 1.0)
-    if num1 <= 0.0 or num2 <= 0.0:
-        # the band degenerates exactly where the prevalence condition
-        # takes over; treat as interior
-        return "interior"
-    r1 = num1 / num2
-    r2 = num2 / num1
-    lo, hi = min(r1, r2), max(r1, r2)
-    if lo <= good_odds <= hi:
+    band = _interior_band(a, prevalence)
+    if band is None or band[0] <= good_odds <= band[1]:
         return "interior"
     if prevalence > small_prevalence:
         return "indeterminate"
-    return "boundary_low" if good_odds < lo else "boundary_high"
+    return "boundary_low" if good_odds < band[0] else "boundary_high"
+
+
+def _interior_band(a: float, prevalence: float) -> tuple[float, float] | None:
+    """Good-odds band (lo, hi) of interior optima for shape exponent ``a``.
+
+    None when the prevalence alone makes the optimum interior for every
+    odds value, including where the band degenerates exactly as the
+    prevalence condition takes over.
+    """
+    if prevalence > 1.0 - max(a / (a + 1.0), 1.0 / (a + 1.0)):
+        return None
+    num1 = 1.0 - prevalence * (a + 1.0)
+    num2 = a - prevalence * (a + 1.0)
+    if num1 <= 0.0 or num2 <= 0.0:
+        return None
+    r1, r2 = num1 / num2, num2 / num1
+    return min(r1, r2), max(r1, r2)
 
 
 def _golden_section_max(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -205,45 +214,29 @@ def optimize_threshold(
     reported as the matching monotone verdict instead of an interior
     optimum.
     """
+    if grid_points < 2:
+        raise ModelError(f"need at least 2 grid points, got {grid_points}")
     grid = np.linspace(_GRID_LO, _GRID_HI, grid_points)
-
-    def objective(r: float) -> float:
-        return system_value(system.with_threshold(float(r))).value
-
-    values = np.array([objective(r) for r in grid])
-    if values.max() - values.min() < _CONSTANT_TOL:
-        return DesignVerdict(
-            kind=CONSTANT,
-            optimum_threshold=None,
-            optimum_value=float(values[len(grid) // 2]),
-            diagnostics=f"grid range {values.max() - values.min():.2e} below tolerance",
-        )
+    values = system_values(system, grid).value
+    spread = values.max() - values.min()
+    if spread < _CONSTANT_TOL:
+        note = f"grid range {spread:.2e} below tolerance"
+        return DesignVerdict(CONSTANT, None, float(values[len(grid) // 2]), note)
     k = int(values.argmax())
     lo = float(grid[max(k - 1, 0)])
     hi = float(grid[min(k + 1, grid_points - 1)])
-    best_r, best_v = _golden_section_max(objective, lo, hi, tol)
+    best_r, best_v = _golden_section_max(
+        lambda r: system_value(system.with_threshold(r)).value, lo, hi, tol
+    )
     if best_v < values[k]:
         best_r, best_v = float(grid[k]), float(values[k])
     if best_r <= _GRID_LO + interior_margin:
-        return DesignVerdict(
-            kind=DECREASING,
-            optimum_threshold=best_r,
-            optimum_value=best_v,
-            diagnostics="argmax at the low edge of the grid",
-        )
-    if best_r >= _GRID_HI - interior_margin:
-        return DesignVerdict(
-            kind=INCREASING,
-            optimum_threshold=best_r,
-            optimum_value=best_v,
-            diagnostics="argmax at the high edge of the grid",
-        )
-    return DesignVerdict(
-        kind=INTERIOR,
-        optimum_threshold=best_r,
-        optimum_value=best_v,
-        diagnostics=f"grid argmax at {grid[k]:.6f} refined by golden section",
-    )
+        kind, note = DECREASING, "argmax at the low edge of the grid"
+    elif best_r >= _GRID_HI - interior_margin:
+        kind, note = INCREASING, "argmax at the high edge of the grid"
+    else:
+        kind, note = INTERIOR, f"grid argmax at {grid[k]:.6f} refined by golden section"
+    return DesignVerdict(kind, best_r, best_v, note)
 
 
 def polarization_effect(good_odds: float, threshold: float) -> str:
@@ -315,7 +308,7 @@ def region_map(
       with the prevalence; located by sign-change bisection on a central
       difference (h = 1e-6) at the given prevalence.
     """
-    if kind not in {"interior", "panelA", "panelB", "panelC"}:
+    if kind not in REGION_MAPS:
         raise ModelError(f"unknown region map kind {kind!r}")
     if x_from is None or x_to is None:
         x_from, x_to = (0.05, 10.0)
@@ -323,16 +316,10 @@ def region_map(
     rows: list[tuple[float, float, str]] = []
     if kind == "interior":
         for a in xs:
-            if a <= 0.0:
+            band = _interior_band(a, prevalence) if a > 0.0 else None
+            if band is None:
                 continue
-            if prevalence > 1.0 - max(a / (a + 1.0), 1.0 / (a + 1.0)):
-                continue
-            num1 = 1.0 - prevalence * (a + 1.0)
-            num2 = a - prevalence * (a + 1.0)
-            if num1 <= 0.0 or num2 <= 0.0:
-                continue
-            r1, r2 = num1 / num2, num2 / num1
-            lo, hi = min(r1, r2), max(r1, r2)
+            lo, hi = band
             if math.isfinite(lo) and lo > 0.0:
                 rows.append((float(a), lo, "lower"))
             if math.isfinite(hi) and hi < 1e6:
@@ -347,11 +334,8 @@ def region_map(
                 rows.append((float(s), b, "interior_prevalence_boundary"))
         return rows
     if kind == "panelB":
-        for s in xs:
-            if s <= 0.0:
-                continue
-            rows.append((float(s), s / (1.0 + s), "buy_probability_boundary"))
-        return rows
+        label = "buy_probability_boundary"
+        return [(float(s), s / (1.0 + s), label) for s in xs if s > 0.0]
     h = 1e-6
     for s in xs:
         if s <= 0.0:

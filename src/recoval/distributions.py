@@ -10,10 +10,12 @@ Four families are supported:
 * ``TabulatedTypes(points)`` -- monotone linear interpolation through
   user-supplied (i, F(i)) pairs.
 
-All distributions are immutable and safe for concurrent use.  Means and
-truncated means use closed forms where the family admits them; the
-tabulated family falls back on adaptive Simpson quadrature of the CDF
-(absolute tolerance 1e-10) and bisection for quantiles.
+All distributions are immutable and safe for concurrent use.  ``cdf``,
+``partial_expectation`` and ``quantile`` accept scalars or numpy arrays
+(a scalar in, a Python float out).  Means and truncated means use closed
+forms where the family admits them; the tabulated family falls back on
+adaptive Simpson quadrature of the CDF (absolute tolerance 1e-10) and
+bisection for quantiles.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._quadrature import adaptive_simpson
-from .errors import EmptyIntervalError, ModelError
+from .errors import EmptyIntervalError, ModelError, require_finite
 
 LO = -0.5
 HI = 0.5
@@ -38,14 +40,15 @@ class TypeDistribution:
 
     symmetric: bool = False
 
-    def cdf(self, i: float) -> float:
+    def cdf(self, i):
+        """F(i), clipped to the type interval."""
         raise NotImplementedError
 
     def quantile(self, u):
-        """Generalized inverse CDF; accepts scalars or numpy arrays."""
+        """Generalized inverse CDF."""
         raise NotImplementedError
 
-    def partial_expectation(self, lo: float, hi: float) -> float:
+    def partial_expectation(self, lo, hi):
         """Integral of i over [lo, hi] against the distribution."""
         raise NotImplementedError
 
@@ -61,9 +64,7 @@ class TypeDistribution:
         lo, hi = _clip_interval(lo, hi)
         weight = self.cdf(hi) - self.cdf(lo)
         if weight <= 0.0:
-            raise EmptyIntervalError(
-                f"no mass on [{lo}, {hi}] for conditional mean"
-            )
+            raise EmptyIntervalError(f"no mass on [{lo}, {hi}] for conditional mean")
         return self.partial_expectation(lo, hi) / weight
 
     def spec(self) -> dict:
@@ -71,10 +72,20 @@ class TypeDistribution:
         raise NotImplementedError
 
 
-def _clip_interval(lo: float, hi: float) -> tuple[float, float]:
-    if lo > hi:
+def _clip_interval(lo, hi):
+    if (np.asarray(lo) > hi).any():
         raise ModelError(f"interval bounds out of order: [{lo}, {hi}]")
-    return max(lo, LO), min(hi, HI)
+    return np.maximum(lo, LO), np.minimum(hi, HI)
+
+
+def _clip(x, lo, hi):
+    """``np.clip`` without the Python-level dispatch that dominates small inputs."""
+    return np.minimum(np.maximum(x, lo), hi)
+
+
+def _scalar_or_array(x):
+    """A Python float for a 0-d result, the array otherwise."""
+    return x if getattr(x, "ndim", 0) else float(x)
 
 
 def _check_u(u):
@@ -90,17 +101,15 @@ class UniformTypes(TypeDistribution):
 
     symmetric = True
 
-    def cdf(self, i: float) -> float:
-        return float(np.clip(i + 0.5, 0.0, 1.0))
+    def cdf(self, i):
+        return _scalar_or_array(_clip(np.asarray(i) + 0.5, 0.0, 1.0))
 
     def quantile(self, u):
-        arr = _check_u(u)
-        out = arr - 0.5
-        return float(out) if np.ndim(u) == 0 else out
+        return _scalar_or_array(_check_u(u) - 0.5)
 
-    def partial_expectation(self, lo: float, hi: float) -> float:
+    def partial_expectation(self, lo, hi):
         lo, hi = _clip_interval(lo, hi)
-        return 0.5 * (hi * hi - lo * lo)
+        return _scalar_or_array(0.5 * (hi * hi - lo * lo))
 
     def spec(self) -> dict:
         return {"kind": "uniform"}
@@ -113,6 +122,7 @@ class PowerTypes(TypeDistribution):
     a: float
 
     def __post_init__(self):
+        require_finite("power exponent", self.a)
         if not self.a > 0.0:
             raise ModelError(f"power exponent must be positive, got {self.a}")
 
@@ -120,20 +130,17 @@ class PowerTypes(TypeDistribution):
     def symmetric(self) -> bool:  # type: ignore[override]
         return self.a == 1.0
 
-    def cdf(self, i: float) -> float:
-        x = float(np.clip(i + 0.5, 0.0, 1.0))
-        return x**self.a
+    def cdf(self, i):
+        return _scalar_or_array(_clip(np.asarray(i) + 0.5, 0.0, 1.0) ** self.a)
 
     def quantile(self, u):
-        arr = _check_u(u)
-        out = arr ** (1.0 / self.a) - 0.5
-        return float(out) if np.ndim(u) == 0 else out
+        return _scalar_or_array(_check_u(u) ** (1.0 / self.a) - 0.5)
 
-    def partial_expectation(self, lo: float, hi: float) -> float:
+    def partial_expectation(self, lo, hi):
         lo, hi = _clip_interval(lo, hi)
-        return self._antideriv(hi) - self._antideriv(lo)
+        return _scalar_or_array(self._antideriv(hi) - self._antideriv(lo))
 
-    def _antideriv(self, i: float) -> float:
+    def _antideriv(self, i):
         # integral of i * a (i+1/2)^(a-1), by parts
         return (i + 0.5) ** self.a * (self.a * i - 0.5) / (self.a + 1.0)
 
@@ -173,9 +180,9 @@ class PiecewiseSymmetricTypes(TypeDistribution):
         f = np.array([0.0, self.beta_target, 1.0 - self.beta_target, 1.0])
         return x, f
 
-    def cdf(self, i: float) -> float:
+    def cdf(self, i):
         x, f = self._knots
-        return float(np.interp(np.clip(i, LO, HI), x, f))
+        return _scalar_or_array(np.interp(_clip(i, LO, HI), x, f))
 
     def quantile(self, u):
         arr = np.atleast_1d(_check_u(u)).astype(float)
@@ -199,17 +206,14 @@ class PiecewiseSymmetricTypes(TypeDistribution):
         out[arr == 0.0] = LO
         return float(out[0]) if np.ndim(u) == 0 else out.reshape(np.shape(u))
 
-    def partial_expectation(self, lo: float, hi: float) -> float:
+    def partial_expectation(self, lo, hi):
         lo, hi = _clip_interval(lo, hi)
         x, f = self._knots
-        total = 0.0
-        for j in range(1, len(x)):
-            a, b = max(lo, x[j - 1]), min(hi, x[j])
-            if b <= a:
-                continue
-            slope = (f[j] - f[j - 1]) / (x[j] - x[j - 1])
-            total += slope * 0.5 * (b * b - a * a)
-        return total
+        a = np.maximum(np.asarray(lo)[..., None], x[:-1])
+        b = np.minimum(np.asarray(hi)[..., None], x[1:])
+        slope = (f[1:] - f[:-1]) / (x[1:] - x[:-1])
+        part = np.where(b > a, slope * 0.5 * (b * b - a * a), 0.0)
+        return _scalar_or_array(0.0 + part[..., 0] + part[..., 1] + part[..., 2])
 
     def spec(self) -> dict:
         return {
@@ -233,10 +237,10 @@ class TabulatedTypes(TypeDistribution):
 
     def __post_init__(self):
         pts = tuple((float(i), float(p)) for i, p in self.points)
+        require_finite("tabulated points", *(v for pt in pts for v in pt))
         if len(pts) < 2:
             raise ModelError("tabulated CDF needs at least two points")
-        xs = [i for i, _ in pts]
-        fs = [p for _, p in pts]
+        xs, fs = zip(*pts)
         if abs(xs[0] - LO) > 1e-12 or abs(fs[0]) > 1e-12:
             raise ModelError("tabulated CDF must start at (-1/2, 0)")
         if abs(xs[-1] - HI) > 1e-12 or abs(fs[-1] - 1.0) > 1e-12:
@@ -247,29 +251,26 @@ class TabulatedTypes(TypeDistribution):
             raise ModelError("tabulated CDF values must be strictly increasing")
         object.__setattr__(self, "points", pts)
         grid = np.linspace(LO, HI, 201)
-        mirror = max(
-            abs(self._interp(g) + self._interp(-g) - 1.0) for g in grid
-        )
-        object.__setattr__(self, "_symmetric", mirror < 1e-12)
+        mirror = np.abs(self.cdf(grid) + self.cdf(-grid) - 1.0).max()
+        object.__setattr__(self, "_symmetric", bool(mirror < 1e-12))
 
     @property
     def symmetric(self) -> bool:  # type: ignore[override]
         return self._symmetric
 
-    def _interp(self, i: float) -> float:
-        xs = np.array([p[0] for p in self.points])
-        fs = np.array([p[1] for p in self.points])
-        return float(np.interp(np.clip(i, LO, HI), xs, fs))
+    @property
+    def _knots(self) -> tuple[np.ndarray, np.ndarray]:
+        xs, fs = zip(*self.points)
+        return np.array(xs), np.array(fs)
 
-    def cdf(self, i: float) -> float:
-        return self._interp(i)
+    def cdf(self, i):
+        return _scalar_or_array(np.interp(_clip(i, LO, HI), *self._knots))
 
     def quantile(self, u):
         arr = np.atleast_1d(_check_u(u)).astype(float)
         lo = np.full(arr.shape, LO)
         hi = np.full(arr.shape, HI)
-        xs = np.array([p[0] for p in self.points])
-        fs = np.array([p[1] for p in self.points])
+        xs, fs = self._knots
         while np.max(hi - lo) > _BISECT_TOL:
             mid = 0.5 * (lo + hi)
             fmid = np.interp(mid, xs, fs)
@@ -279,13 +280,12 @@ class TabulatedTypes(TypeDistribution):
         out = 0.5 * (lo + hi)
         return float(out[0]) if np.ndim(u) == 0 else out.reshape(np.shape(u))
 
-    def partial_expectation(self, lo: float, hi: float) -> float:
+    def partial_expectation(self, lo, hi):
         lo, hi = _clip_interval(lo, hi)
-        if hi <= lo:
-            return 0.0
         # integral i dF = [i F] - integral F di, with quadrature on F
         tail = adaptive_simpson(self.cdf, lo, hi, tol=_QUAD_TOL, max_depth=_QUAD_DEPTH)
-        return hi * self.cdf(hi) - lo * self.cdf(lo) - tail
+        out = hi * self.cdf(hi) - lo * self.cdf(lo) - tail
+        return _scalar_or_array(np.where(hi <= lo, 0.0, out))
 
     def spec(self) -> dict:
         return {"kind": "tabulated", "points": [list(p) for p in self.points]}

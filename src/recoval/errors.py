@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class ModelError(ValueError):
     """Base class for domain and configuration errors."""
@@ -27,3 +29,10 @@ class IndeterminateConfigurationError(ModelError):
 
 class ClosedFormInapplicableError(ModelError):
     """Closed-form shortcut requested outside its validity region."""
+
+
+def require_finite(what: str, *values) -> None:
+    """Raise ModelError unless every value is an integer or a finite float."""
+    for v in values:
+        if not (isinstance(v, int) or math.isfinite(v)):
+            raise ModelError(f"{what} must be finite, got {v}")

@@ -31,6 +31,7 @@ from .errors import (
     ModelError,
     UnreachableRecommendationError,
     UnsupportedConfigurationError,
+    require_finite,
 )
 from .value import ValueReport, symmetric_value, system_value
 
@@ -67,6 +68,7 @@ class MultiRecCount:
     dont_buys: int
 
     def __post_init__(self):
+        require_finite("report counts", self.buys, self.dont_buys)
         if self.buys < 0 or self.dont_buys < 0 or self.buys + self.dont_buys < 1:
             raise ModelError("need non-negative counts with at least one report")
 
@@ -205,11 +207,8 @@ def _controversial_gain_integral(
         return 0.0
     const = 0.5 * (q.q_l - q.q_h)
     slope = (1.0 - both) * (q.q_1 - q.q_2) / both
-    cutoff = neutral_indifferent_type(quality)
-    if q.q_1 >= q.q_2:
-        lo, hi = min(max(cutoff, LO), HI), HI
-    else:
-        lo, hi = LO, min(max(cutoff, LO), HI)
+    cutoff = min(max(neutral_indifferent_type(quality), LO), HI)
+    lo, hi = (cutoff, HI) if q.q_1 >= q.q_2 else (LO, cutoff)
     if hi <= lo:
         return 0.0
     mass = dist.cdf(hi) - dist.cdf(lo)
@@ -264,6 +263,26 @@ def two_threshold_partials(
     return d_high_share, d_low_share
 
 
+def multi_weights(
+    quality: QualityDistribution,
+    dist: TypeDistribution,
+    threshold: float,
+    counts: MultiRecCount,
+) -> tuple[float, float, float, float]:
+    """Per version, prior mass times the chance of one ordered report sequence.
+
+    comb(b + d, b) times their sum is the probability of the counts.
+    """
+    q, b, d = quality, counts.buys, counts.dont_buys
+    phi_1, phi_2 = version_buy_probabilities(dist, threshold)
+    return (
+        q.q_h if d == 0 else 0.0,
+        q.q_1 * phi_1**b * (1.0 - phi_1) ** d,
+        q.q_2 * phi_2**b * (1.0 - phi_2) ** d,
+        q.q_l if b == 0 else 0.0,
+    )
+
+
 def multi_posterior(
     quality: QualityDistribution,
     dist: TypeDistribution,
@@ -276,16 +295,8 @@ def multi_posterior(
     good version, so mixed counts concentrate belief on the
     controversial pair.
     """
-    q = quality
-    phi_1, phi_2 = version_buy_probabilities(dist, threshold)
-    b, d = counts.buys, counts.dont_buys
-    weights = (
-        q.q_h if d == 0 else 0.0,
-        q.q_1 * phi_1**b * (1.0 - phi_1) ** d,
-        q.q_2 * phi_2**b * (1.0 - phi_2) ** d,
-        q.q_l if b == 0 else 0.0,
-    )
-    total = sum(weights)
+    weights = multi_weights(quality, dist, threshold, counts)
+    total, b, d = sum(weights), counts.buys, counts.dont_buys
     if total <= 0.0:
         raise UnreachableRecommendationError(
             f"observing {b} buys and {d} dont-buys has zero probability"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .core import (
     RecommendationSystem,
 )
 from .distributions import TypeDistribution
-from .errors import ModelError, UnsupportedConfigurationError
+from .errors import ModelError, UnsupportedConfigurationError, require_finite
 from .extensions import MultiRecCount, ThresholdPair
 from .receiver import effects
 
@@ -50,6 +50,7 @@ class SimulationConfig:
     dont_buys: int | None = None
 
     def __post_init__(self):
+        require_finite("samples and seed", self.samples, self.seed)
         if self.samples < 1000:
             raise ModelError("need at least 1000 samples")
         if self.mode not in {"single", "two_threshold", "multi", "infinite"}:
@@ -86,11 +87,6 @@ class MultiEstimate:
     posterior: tuple[EstimateWithError, ...]
 
 
-def inverse_cdf_sample(dist: TypeDistribution, u):
-    """Draw types from ``dist`` by inverting the CDF at ``u``."""
-    return dist.quantile(u)
-
-
 def _worker_count() -> int:
     raw = os.environ.get("RECO_THREADS", "0")
     try:
@@ -104,14 +100,8 @@ def _worker_count() -> int:
 
 def _run_blocks(seed: int, total: int, block_fn):
     """Run ``block_fn(rng, count)`` over all blocks, in block order."""
-    plans = []
-    start = 0
-    index = 0
-    while start < total:
-        plans.append((index, min(BLOCK_SIZE, total - start)))
-        start += BLOCK_SIZE
-        index += 1
-
+    blocks = range(0, total, BLOCK_SIZE)
+    plans = [(j, min(BLOCK_SIZE, total - start)) for j, start in enumerate(blocks)]
     key = seed & 0xFFFFFFFFFFFFFFFF  # Philox keys are unsigned
 
     def run(plan):
@@ -147,6 +137,10 @@ def _proportion(count: float, total: int, seed: int) -> EstimateWithError:
     )
 
 
+def _table(tallies, kept: float, seed: int) -> tuple[EstimateWithError, ...]:
+    return tuple(_proportion(float(t), int(kept), seed) for t in tallies)
+
+
 def _sample_versions(quality: QualityDistribution, u: np.ndarray) -> np.ndarray:
     cuts = np.cumsum(quality.as_tuple())
     return np.minimum(np.searchsorted(cuts, u, side="right"), 3)
@@ -156,9 +150,24 @@ def _payoffs(versions: np.ndarray, types: np.ndarray) -> np.ndarray:
     return (0.5 + types) * _W1[versions] + (0.5 - types) * _W2[versions]
 
 
-def _prior_payoffs(quality: QualityDistribution, types: np.ndarray) -> np.ndarray:
+def _gain(buy, versions, alternatives, receivers) -> np.ndarray:
+    """Payoff gain of buying where ``buy`` over the baseline that buys the
+    independent alternative product."""
+    baseline = _payoffs(alternatives, receivers)
+    return np.where(buy, _payoffs(versions, receivers), baseline) - baseline
+
+
+def _moments(gain: np.ndarray, count: int):
+    return float(gain.sum()), float((gain * gain).sum()), count
+
+
+def _buys_controversial(quality: QualityDistribution, types: np.ndarray) -> np.ndarray:
+    """Whether each type buys a product known to be controversial: the
+    prior-odds payoff of the controversial pair beats the prior payoff."""
     q = quality
-    return q.q_h + (0.5 + types) * q.q_1 + (0.5 - types) * q.q_2
+    both = q.q_1 + q.q_2
+    lean = (q.q_1 - q.q_2) / both if both > 0.0 else 0.0
+    return 0.5 + types * lean >= q.q_h + (0.5 + types) * q.q_1 + (0.5 - types) * q.q_2
 
 
 def estimate_pi_buy(
@@ -200,14 +209,8 @@ def estimate_value(
         alternatives = _sample_versions(quality, u[3])
         rec_buy = _payoffs(versions, senders) >= threshold
         accept = eff.objective >= receivers * eff.subjective
-        buy_recommended = accept == rec_buy
-        pay_with = np.where(
-            buy_recommended,
-            _payoffs(versions, receivers),
-            _payoffs(alternatives, receivers),
-        )
-        gain = pay_with - _payoffs(alternatives, receivers)
-        return float(gain.sum()), float((gain * gain).sum()), count
+        gain = _gain(accept == rec_buy, versions, alternatives, receivers)
+        return _moments(gain, count)
 
     return _mean_estimate(_run_blocks(config.seed, config.samples, block), config.seed)
 
@@ -223,8 +226,6 @@ def estimate_two_threshold(
         raise UnsupportedConfigurationError(
             "two-threshold simulation requires a symmetric population"
         )
-    both = quality.q_1 + quality.q_2
-    lean = (quality.q_1 - quality.q_2) / both if both > 0.0 else 0.0
 
     def block(rng, count):
         u = rng.random((4, count))
@@ -235,16 +236,9 @@ def estimate_two_threshold(
         sender_pay = _payoffs(versions, senders)
         rec_buy = sender_pay >= pair.high
         rec_dont = sender_pay < pair.low
-        neutral_pay = 0.5 + receivers * lean
-        buy_neutral = neutral_pay >= _prior_payoffs(quality, receivers)
+        buy_neutral = _buys_controversial(quality, receivers)
         buy_product = rec_buy | (~rec_buy & ~rec_dont & buy_neutral)
-        pay_with = np.where(
-            buy_product,
-            _payoffs(versions, receivers),
-            _payoffs(alternatives, receivers),
-        )
-        gain = pay_with - _payoffs(alternatives, receivers)
-        return float(gain.sum()), float((gain * gain).sum()), count
+        return _moments(_gain(buy_product, versions, alternatives, receivers), count)
 
     return _mean_estimate(_run_blocks(config.seed, config.samples, block), config.seed)
 
@@ -285,20 +279,14 @@ def _estimate_multi_counts(system, config) -> MultiEstimate:
 
     parts = _run_blocks(config.seed, config.samples, block)
     kept_total = sum(p[0] for p in parts)
+    event = _proportion(kept_total, sum(p[2] for p in parts), config.seed)
     tallies = sum(p[1] for p in parts)
-    total = sum(p[2] for p in parts)
-    event = _proportion(kept_total, total, config.seed)
-    table = tuple(
-        _proportion(float(t), int(kept_total), config.seed) for t in tallies
-    )
-    return MultiEstimate(value=event, posterior=table)
+    return MultiEstimate(event, _table(tallies, kept_total, config.seed))
 
 
 def _estimate_infinite(system, config) -> MultiEstimate:
     quality = system.quality
     dist = system.receiver_types
-    both = quality.q_1 + quality.q_2
-    lean = (quality.q_1 - quality.q_2) / both if both > 0.0 else 0.0
 
     def block(rng, count):
         u = rng.random((3, count))
@@ -307,32 +295,16 @@ def _estimate_infinite(system, config) -> MultiEstimate:
         alternatives = _sample_versions(quality, u[2])
         good = versions == 0
         controversial = (versions == 1) | (versions == 2)
-        mixed_pay = 0.5 + receivers * lean
-        buy_mixed = mixed_pay >= _prior_payoffs(quality, receivers)
+        buy_mixed = _buys_controversial(quality, receivers)
         buy_product = good | (controversial & buy_mixed)
-        pay_with = np.where(
-            buy_product,
-            _payoffs(versions, receivers),
-            _payoffs(alternatives, receivers),
-        )
-        gain = pay_with - _payoffs(alternatives, receivers)
+        gain = _gain(buy_product, versions, alternatives, receivers)
         tallies = np.bincount(versions[controversial], minlength=4).astype(float)
-        return (
-            float(gain.sum()),
-            float((gain * gain).sum()),
-            count,
-            tallies,
-            float(controversial.sum()),
-        )
+        return (*_moments(gain, count), tallies, float(controversial.sum()))
 
     parts = _run_blocks(config.seed, config.samples, block)
     value = _mean_estimate([(p[0], p[1], p[2]) for p in parts], config.seed)
-    tallies = sum(p[3] for p in parts)
-    contro_total = sum(p[4] for p in parts)
-    table = tuple(
-        _proportion(float(t), int(contro_total), config.seed) for t in tallies
-    )
-    return MultiEstimate(value=value, posterior=table)
+    tallies, contro_total = sum(p[3] for p in parts), sum(p[4] for p in parts)
+    return MultiEstimate(value, _table(tallies, contro_total, config.seed))
 
 
 def estimate_posterior(
@@ -345,11 +317,5 @@ def estimate_posterior(
         counts = (0, 1)
     else:
         raise ModelError("single recommendations are buy or dont-buy")
-    cfg = SimulationConfig(
-        samples=config.samples,
-        seed=config.seed,
-        mode="multi",
-        buys=counts[0],
-        dont_buys=counts[1],
-    )
+    cfg = replace(config, mode="multi", buys=counts[0], dont_buys=counts[1])
     return estimate_multi(system, cfg).posterior

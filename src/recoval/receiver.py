@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .core import Posterior, Recommendation, RecommendationSystem, posterior
 from .errors import ModelError
 
@@ -22,6 +24,10 @@ SUBJECTIVE_ZERO = 1e-12
 
 # Boundary tolerance in the all-accept comparison; ties accept.
 REGION_EPS = 1e-12
+
+# Acceptance-region kinds, indexed by the codes that region_arrays returns.
+REGION_KINDS = ("all", "upper", "lower")
+ALL, UPPER, LOWER = range(3)
 
 
 @dataclass(frozen=True)
@@ -44,6 +50,11 @@ class AcceptanceRegion:
     kind: str
     cutoff: float | None = None
 
+    @classmethod
+    def from_arrays(cls, kind: np.ndarray, cutoff: np.ndarray, k: int):
+        """Element ``k`` of the arrays returned by :func:`region_arrays`."""
+        return cls(REGION_KINDS[kind[k]], None if kind[k] == ALL else float(cutoff[k]))
+
     def contains(self, i: float) -> bool:
         if self.kind == "all":
             return True
@@ -61,16 +72,17 @@ def expected_utility(i: float, belief: Posterior | Sequence[float]) -> float:
     return p_h + (0.5 + i) * p_1 + (0.5 - i) * p_2
 
 
+def effect_arrays(quality, probs):
+    """Objective and subjective effects of one posterior, or of each
+    column of a (4, n) posterior array."""
+    q = quality
+    d_h, d_1, d_2 = probs[0] - q.q_h, probs[1] - q.q_1, probs[2] - q.q_2
+    return d_h + 0.5 * d_1 + 0.5 * d_2, d_2 - d_1
+
+
 def effects(system: RecommendationSystem, rec: Recommendation) -> EffectPair:
     """Objective and subjective effect of recommendation ``rec``."""
-    post = posterior(system, rec)
-    q = system.quality
-    objective = (
-        (post.p_h - q.q_h)
-        + 0.5 * (post.p_1 - q.q_1)
-        + 0.5 * (post.p_2 - q.q_2)
-    )
-    subjective = (post.p_2 - q.q_2) - (post.p_1 - q.q_1)
+    objective, subjective = effect_arrays(system.quality, posterior(system, rec).probs)
     return EffectPair(objective=objective, subjective=subjective, recommendation=rec)
 
 
@@ -97,6 +109,22 @@ def indifferent_type(system: RecommendationSystem) -> float | None:
     if abs(eff.subjective) < SUBJECTIVE_ZERO:
         return None
     return eff.objective / eff.subjective
+
+
+def region_arrays(objective, subjective) -> tuple[np.ndarray, np.ndarray]:
+    """Acceptance-region kind code and cutoff (NaN for ALL) per buy-effect pair.
+
+    Out-of-range cutoffs collapse to "all".  A negative subjective effect
+    means buy recommendations favor version (1, 0): high types accept.
+    """
+    nan = np.full(objective.shape, np.nan)
+    cutoff = np.divide(objective, subjective, out=nan, where=subjective != 0.0)
+    favors_1 = subjective < 0.0
+    upper = favors_1 & ~(cutoff <= -0.5)
+    lower = ~favors_1 & ~(cutoff >= 0.5)
+    everyone = (np.abs(subjective) <= 2.0 * objective + REGION_EPS) | ~(upper | lower)
+    kind = np.where(everyone, ALL, np.where(upper, UPPER, LOWER))
+    return kind, np.where(everyone, np.nan, cutoff)
 
 
 def acceptance_region(system: RecommendationSystem) -> AcceptanceRegion:

@@ -342,6 +342,39 @@ class TestErrors:
         assert code == 1
         assert "tabular" in err
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"quality": {"qH": NaN, "q1": 0.2, "q2": 0.2, "qL": 0.2},'
+            ' "sender_types": {"kind": "uniform"}, "threshold": 0.5}',
+            '{"quality": {"Q": 0.2, "sigma": Infinity},'
+            ' "sender_types": {"kind": "uniform"}, "threshold": 0.5}',
+            '{"quality": {"Q": 0.2, "sigma": 2},'
+            ' "sender_types": {"kind": "power", "a": "x"}, "threshold": 0.5}',
+        ],
+    )
+    def test_bad_numbers_are_error_lines(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        code, out, err = run_cli(capsys, "evaluate", "--scenario", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("optimize", "--steps", "0"),
+            ("sweep", "--param", "R", "--steps", "-1"),
+            ("region-map", "--figure", "panelB", "--steps", "-1"),
+        ],
+    )
+    def test_bad_grid_sizes_are_error_lines(self, capsys, s1_path, argv):
+        code, out, err = run_cli(capsys, argv[0], "--scenario", s1_path, *argv[1:])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestOutputFile:
     def test_out_flag_writes_file(self, capsys, s1_path, tmp_path):

@@ -221,6 +221,36 @@ class TestValidation:
         with pytest.raises(ModelError):
             rv.Posterior(recommendation=REC.BUY, probs=(0.5, 0.2, 0.2, 0.1))
 
+    def test_posterior_rejects_non_finite_components(self):
+        with pytest.raises(ModelError):
+            rv.Posterior(recommendation=REC.BUY, probs=(float("nan"), 0.5, 0.5, 0.0))
+
+    def test_batched_posterior_check_covers_every_column(self):
+        from recoval.core import check_posteriors
+
+        probs = np.array([[0.5, 0.5, 0.5], [0.3, 0.3, 0.4], [0.2, 0.2, 0.2], [0.0] * 3])
+        check_posteriors(probs[:, :2], REC.BUY)
+        with pytest.raises(ModelError, match="0.4"):
+            check_posteriors(probs, REC.BUY)
+        probs[[0, 3], 1] = 0.499, 0.001
+        with pytest.raises(ModelError, match="rule out the bad version"):
+            check_posteriors(probs[:, :2], REC.BUY)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x: rv.QualityDistribution(x, 0.2, 0.2, 0.2),
+            lambda x: rv.PowerTypes(x),
+            lambda x: rv.TabulatedTypes(((-0.5, 0.0), (0.1, x), (0.5, 1.0))),
+            lambda x: rv.MultiRecCount(buys=x, dont_buys=1),
+            lambda x: rv.SimulationConfig(samples=x),
+        ],
+    )
+    @pytest.mark.parametrize("x", [float("nan"), float("inf")])
+    def test_non_finite_inputs_are_rejected(self, build, x):
+        with pytest.raises(ModelError, match="finite"):
+            build(x)
+
     def test_receiver_defaults_to_sender(self):
         system = rv.RecommendationSystem(
             random_quality(np.random.default_rng(1)), rv.PowerTypes(2.0), 0.4

@@ -118,6 +118,17 @@ class TestInteriorConditions:
         assert rv.interior_conditions(2.0, 0.2, 1.4 / 0.4 - 1e-6) == "interior"
 
 
+class TestInteriorRegionMap:
+    def test_band_edges_agree_with_interior_conditions(self):
+        rows = rv.region_map("interior", 0.2, 6.0, steps=30, prevalence=0.05)
+        assert {label for _, _, label in rows} == {"lower", "upper"}
+        for a, edge, label in rows:
+            assert rv.interior_conditions(a, 0.05, edge) == "interior"
+            outside = edge * (0.999 if label == "lower" else 1.001)
+            expected = "boundary_low" if label == "lower" else "boundary_high"
+            assert rv.interior_conditions(a, 0.05, outside) == expected
+
+
 class TestOptimizeThreshold:
     def test_interior_power_family(self):
         system = rv.symmetric_system(0.2, 1.0, rv.PowerTypes(2.0), 0.5)
@@ -136,6 +147,12 @@ class TestOptimizeThreshold:
         system = rv.symmetric_system(0.2, 1.0, rv.UniformTypes(), 0.5)
         verdict = rv.optimize_threshold(system, grid_points=301)
         assert verdict.kind == "constant_in_R"
+
+    def test_rejects_fewer_than_two_grid_points(self):
+        system = rv.symmetric_system(0.2, 2.0, rv.UniformTypes(), 0.5)
+        for points in (1, 0, -3):
+            with pytest.raises(rv.ModelError, match="grid points"):
+                rv.optimize_threshold(system, grid_points=points)
 
     def test_quasiconcave_in_all_accept_regime(self):
         # discrete differences change sign at most once on the grid
