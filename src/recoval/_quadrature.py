@@ -1,4 +1,5 @@
-"""Adaptive Simpson quadrature for CDF-based integrals, batched over intervals."""
+"""Adaptive Simpson quadrature of a CDF, batched over intervals; it serves
+only the integral route of ``value`` that cross-checks the closed forms."""
 
 from __future__ import annotations
 

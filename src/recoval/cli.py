@@ -139,7 +139,7 @@ def _parse_quality(data) -> QualityDistribution:
 def _parse_types(data, path) -> TypeDistribution:
     try:
         return distribution_from_spec(data)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 

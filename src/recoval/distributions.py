@@ -10,12 +10,13 @@ Four families are supported:
 * ``TabulatedTypes(points)`` -- monotone linear interpolation through
   user-supplied (i, F(i)) pairs.
 
+The last two share one piecewise-linear implementation.
+
 All distributions are immutable and safe for concurrent use.  ``cdf``,
 ``partial_expectation`` and ``quantile`` accept scalars or numpy arrays
-(a scalar in, a Python float out).  Means and truncated means use closed
-forms where the family admits them; the tabulated family falls back on
-adaptive Simpson quadrature of the CDF (absolute tolerance 1e-10) and
-bisection for quantiles.
+(a scalar in, a Python float out).  Every family has closed-form means,
+truncated means and quantiles; the piecewise-linear ones sum exact
+per-segment terms and find quantiles by ``searchsorted`` on the knots.
 """
 
 from __future__ import annotations
@@ -24,15 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._quadrature import adaptive_simpson
 from .errors import EmptyIntervalError, ModelError, require_finite
 
 LO = -0.5
 HI = 0.5
-
-_QUAD_TOL = 1e-10
-_QUAD_DEPTH = 40
-_BISECT_TOL = 1e-12
 
 
 class TypeDistribution:
@@ -149,7 +145,57 @@ class PowerTypes(TypeDistribution):
 
 
 @dataclass(frozen=True)
-class PiecewiseSymmetricTypes(TypeDistribution):
+class _PiecewiseLinearTypes(TypeDistribution):
+    """CDF through knots (x_k, F_k), linear in between; segments may be flat.
+
+    Front-ends validate their parameters and call ``_set_knots`` once;
+    the arrays are cached and excluded from equality, hashing and repr.
+    Truncated means are exact: each segment contributes
+    slope * (b^2 - a^2) / 2 over its part of [lo, hi], summed left to
+    right.  Quantiles are the generalized inverse inf{i : F(i) >= u},
+    so a flat segment maps to its left end.
+    """
+
+    _x: np.ndarray = field(init=False, repr=False, compare=False)
+    _f: np.ndarray = field(init=False, repr=False, compare=False)
+    _slope: np.ndarray = field(init=False, repr=False, compare=False)
+    _segments: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def _set_knots(self, xs, fs):
+        dx = [b - a for a, b in zip(xs, xs[1:])]
+        df = [b - a for a, b in zip(fs, fs[1:])]
+        # quantile segments (left i, left F, rise in i, rise in F), indexed
+        # by searchsorted(f, u): segment k runs from knot k - 1 to knot k.
+        # The constant ends take u <= f[0] to LO and u > f[-1] to HI; a
+        # flat segment is never picked, so 1 keeps its quotient finite.
+        segments = np.array([
+            (LO, *xs[:-1], HI), (0.0, *fs[:-1], 0.0),
+            (0.0, *dx, 0.0), (1.0, *(d if d > 0.0 else 1.0 for d in df), 1.0),
+        ])
+        object.__setattr__(self, "_x", np.array(xs, dtype=float))
+        object.__setattr__(self, "_f", np.array(fs, dtype=float))
+        object.__setattr__(self, "_slope", np.array(df, dtype=float) / dx)
+        object.__setattr__(self, "_segments", segments)
+
+    def cdf(self, i):
+        return _scalar_or_array(np.interp(_clip(i, LO, HI), self._x, self._f))
+
+    def quantile(self, u):
+        u = _check_u(u)
+        x0, f0, dx, df = self._segments.take(np.searchsorted(self._f, u), axis=1)
+        return _scalar_or_array(x0 + (u - f0) * dx / df)
+
+    def partial_expectation(self, lo, hi):
+        lo, hi = _clip_interval(lo, hi)
+        a = np.maximum(np.asarray(lo)[..., None], self._x[:-1])
+        b = np.minimum(np.asarray(hi)[..., None], self._x[1:])
+        part = np.where(b > a, self._slope * 0.5 * (b * b - a * a), 0.0)
+        # segments added left to right (np.sum would pair them up)
+        return _scalar_or_array(0.0 + np.cumsum(part, axis=-1)[..., -1])
+
+
+@dataclass(frozen=True)
+class PiecewiseSymmetricTypes(_PiecewiseLinearTypes):
     """Symmetric three-segment piecewise-linear CDF.
 
     The knots sit at +/-(r_ref - 1/2) and the CDF passes through
@@ -170,50 +216,11 @@ class PiecewiseSymmetricTypes(TypeDistribution):
             )
         if not 0.5 < self.r_ref < 1.0:
             raise ModelError(f"r_ref must lie in (1/2, 1), got {self.r_ref}")
+        k = self.r_ref - 0.5
+        beta = self.beta_target
+        self._set_knots((LO, -k, k, HI), (0.0, beta, 1.0 - beta, 1.0))
 
     symmetric = True
-
-    @property
-    def _knots(self) -> tuple[np.ndarray, np.ndarray]:
-        k = self.r_ref - 0.5
-        x = np.array([LO, -k, k, HI])
-        f = np.array([0.0, self.beta_target, 1.0 - self.beta_target, 1.0])
-        return x, f
-
-    def cdf(self, i):
-        x, f = self._knots
-        return _scalar_or_array(np.interp(_clip(i, LO, HI), x, f))
-
-    def quantile(self, u):
-        arr = np.atleast_1d(_check_u(u)).astype(float)
-        x, f = self._knots
-        out = np.empty_like(arr)
-        # generalized inverse: walk the segments with positive mass
-        prev_f = f[0]
-        prev_x = x[0]
-        filled = np.zeros(arr.shape, dtype=bool)
-        for j in range(1, len(x)):
-            if f[j] > prev_f:
-                sel = (~filled) & (arr <= f[j])
-                out[sel] = prev_x + (arr[sel] - prev_f) * (x[j] - prev_x) / (
-                    f[j] - prev_f
-                )
-                filled |= sel
-                prev_f, prev_x = f[j], x[j]
-            else:
-                prev_x = x[j]
-        out[~filled] = HI
-        out[arr == 0.0] = LO
-        return float(out[0]) if np.ndim(u) == 0 else out.reshape(np.shape(u))
-
-    def partial_expectation(self, lo, hi):
-        lo, hi = _clip_interval(lo, hi)
-        x, f = self._knots
-        a = np.maximum(np.asarray(lo)[..., None], x[:-1])
-        b = np.minimum(np.asarray(hi)[..., None], x[1:])
-        slope = (f[1:] - f[:-1]) / (x[1:] - x[:-1])
-        part = np.where(b > a, slope * 0.5 * (b * b - a * a), 0.0)
-        return _scalar_or_array(0.0 + part[..., 0] + part[..., 1] + part[..., 2])
 
     def spec(self) -> dict:
         return {
@@ -224,12 +231,13 @@ class PiecewiseSymmetricTypes(TypeDistribution):
 
 
 @dataclass(frozen=True)
-class TabulatedTypes(TypeDistribution):
+class TabulatedTypes(_PiecewiseLinearTypes):
     """CDF interpolated linearly through supplied (i, F) points.
 
     Points must be strictly increasing in both coordinates and anchored
-    at (-1/2, 0) and (1/2, 1).  Truncated means are computed by adaptive
-    Simpson quadrature of the CDF; quantiles by bisection.
+    at (-1/2, 0) and (1/2, 1).  Truncated means and quantiles are those
+    of the piecewise-linear family: exact per segment, and by
+    ``searchsorted`` on the knots.
     """
 
     points: tuple[tuple[float, float], ...]
@@ -250,6 +258,7 @@ class TabulatedTypes(TypeDistribution):
         if any(b <= a for a, b in zip(fs, fs[1:])):
             raise ModelError("tabulated CDF values must be strictly increasing")
         object.__setattr__(self, "points", pts)
+        self._set_knots(xs, fs)
         grid = np.linspace(LO, HI, 201)
         mirror = np.abs(self.cdf(grid) + self.cdf(-grid) - 1.0).max()
         object.__setattr__(self, "_symmetric", bool(mirror < 1e-12))
@@ -257,35 +266,6 @@ class TabulatedTypes(TypeDistribution):
     @property
     def symmetric(self) -> bool:  # type: ignore[override]
         return self._symmetric
-
-    @property
-    def _knots(self) -> tuple[np.ndarray, np.ndarray]:
-        xs, fs = zip(*self.points)
-        return np.array(xs), np.array(fs)
-
-    def cdf(self, i):
-        return _scalar_or_array(np.interp(_clip(i, LO, HI), *self._knots))
-
-    def quantile(self, u):
-        arr = np.atleast_1d(_check_u(u)).astype(float)
-        lo = np.full(arr.shape, LO)
-        hi = np.full(arr.shape, HI)
-        xs, fs = self._knots
-        while np.max(hi - lo) > _BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            fmid = np.interp(mid, xs, fs)
-            take_hi = fmid >= arr
-            hi = np.where(take_hi, mid, hi)
-            lo = np.where(take_hi, lo, mid)
-        out = 0.5 * (lo + hi)
-        return float(out[0]) if np.ndim(u) == 0 else out.reshape(np.shape(u))
-
-    def partial_expectation(self, lo, hi):
-        lo, hi = _clip_interval(lo, hi)
-        # integral i dF = [i F] - integral F di, with quadrature on F
-        tail = adaptive_simpson(self.cdf, lo, hi, tol=_QUAD_TOL, max_depth=_QUAD_DEPTH)
-        out = hi * self.cdf(hi) - lo * self.cdf(lo) - tail
-        return _scalar_or_array(np.where(hi <= lo, 0.0, out))
 
     def spec(self) -> dict:
         return {"kind": "tabulated", "points": [list(p) for p in self.points]}

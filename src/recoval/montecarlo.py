@@ -8,7 +8,8 @@ counter-based Philox stream jumped ``j`` times from the seed, and the
 per-block results are reduced in block order.  Estimates are therefore
 bit-identical for a given (seed, sample count) regardless of how many
 worker threads run the blocks.  Worker parallelism is capped by the
-``RECO_THREADS`` environment variable (0 or unset = auto).
+``RECO_THREADS`` environment variable (0 or unset = auto; anything but
+a non-negative integer is a ``ModelError``).
 """
 
 from __future__ import annotations
@@ -87,15 +88,18 @@ class MultiEstimate:
     posterior: tuple[EstimateWithError, ...]
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("RECO_THREADS", "0")
+def _worker_count(raw: str | None, blocks: int) -> int:
+    """Workers for ``blocks`` blocks under ``RECO_THREADS=raw``: at most one
+    per block; unset, empty or 0 means one per core, at most 8."""
     try:
-        n = int(raw)
+        n = int(raw or 0)
     except ValueError:
-        n = 0
-    if n <= 0:
+        n = -1
+    if n < 0:
+        raise ModelError(f"RECO_THREADS must be a non-negative integer, got {raw!r}")
+    if n == 0:
         n = min(os.cpu_count() or 1, 8)
-    return n
+    return max(1, min(n, blocks))
 
 
 def _run_blocks(seed: int, total: int, block_fn):
@@ -109,22 +113,29 @@ def _run_blocks(seed: int, total: int, block_fn):
         rng = np.random.Generator(np.random.Philox(key=key).jumped(block_index))
         return block_fn(rng, count)
 
-    workers = _worker_count()
-    if workers <= 1 or len(plans) <= 1:
+    workers = _worker_count(os.environ.get("RECO_THREADS"), len(plans))
+    if workers == 1:
         return [run(p) for p in plans]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run, plans))
 
 
 def _mean_estimate(parts, seed: int) -> EstimateWithError:
-    s1 = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    n = sum(p[2] for p in parts)
-    mean = s1 / n
-    var = max(s2 - s1 * s1 / n, 0.0) / (n - 1)
-    return EstimateWithError(
-        estimate=mean, stderr=float(np.sqrt(var / n)), samples=n, seed=seed
-    )
+    """Mean and standard error from per-block ``(sum, M2, count)`` parts.
+
+    M2 is the block's sum of squared deviations from its own mean.  The
+    blocks merge in block order by the pairwise update of Chan, Golub
+    and LeVeque (1983), which does not cancel like sum(x^2) - sum(x)^2/n.
+    """
+    n, mean, m2 = 0, 0.0, 0.0
+    for s, block_m2, count in parts:
+        delta = s / count - mean
+        merged = n + count
+        m2 += block_m2 + delta * delta * (n * count / merged)
+        mean += delta * (count / merged)
+        n = merged
+    estimate = sum(p[0] for p in parts) / n
+    return EstimateWithError(estimate, float(np.sqrt(m2 / (n - 1) / n)), n, seed)
 
 
 def _proportion(count: float, total: int, seed: int) -> EstimateWithError:
@@ -158,7 +169,10 @@ def _gain(buy, versions, alternatives, receivers) -> np.ndarray:
 
 
 def _moments(gain: np.ndarray, count: int):
-    return float(gain.sum()), float((gain * gain).sum()), count
+    """(sum, sum of squared deviations from the mean, count) of a block."""
+    s = float(gain.sum())
+    dev = gain - s / count
+    return s, float((dev * dev).sum()), count
 
 
 def _buys_controversial(quality: QualityDistribution, types: np.ndarray) -> np.ndarray:
@@ -180,9 +194,7 @@ def estimate_pi_buy(
         u = rng.random((2, count))
         versions = _sample_versions(quality, u[0])
         senders = dist.quantile(u[1])
-        buys = _payoffs(versions, senders) >= threshold
-        s = float(buys.sum())
-        return s, s, count
+        return _moments(_payoffs(versions, senders) >= threshold, count)
 
     return _mean_estimate(_run_blocks(config.seed, config.samples, block), config.seed)
 

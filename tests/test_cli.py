@@ -1,8 +1,12 @@
 """Command-line interface: scenario parsing, commands, output formats."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import recoval as rv
 from recoval.cli import ScenarioError, main, parse_scenario
@@ -375,6 +379,52 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"kind": "power", "a": 10**400}, "int too large to convert to float"),
+            (
+                {"kind": "piecewise_symmetric", "beta_target": 10**400, "R_ref": 0.7},
+                "int too large to convert to float",
+            ),
+            (
+                {"kind": "tabulated", "points": [[-0.5, 0], [10**400, 1]]},
+                "int too large to convert to float",
+            ),
+            (
+                {"kind": "tabulated", "points": [[-0.5, 0], [0, 0.5, 1], [0.5, 1]]},
+                "too many values to unpack (expected 2)",
+            ),
+            (
+                {"kind": "tabulated", "points": [[-0.5, 0], [0.1], [0.5, 1]]},
+                "not enough values to unpack (expected 2, got 1)",
+            ),
+            (
+                {"kind": "tabulated", "points": [[-0.5, 0], [0.1, 0.5], [0, 0.6], [0.5, 1]]},
+                "tabulated abscissae must be strictly increasing",
+            ),
+            (
+                {"kind": "tabulated", "points": [[-0.5, 0], ["x", 0.5], [0.5, 1]]},
+                "could not convert string to float: 'x'",
+            ),
+        ],
+    )
+    def test_malformed_type_specs_are_error_lines(self, capsys, tmp_path, spec, message):
+        doc = json.loads(S1_DOC)
+        doc["sender_types"] = spec
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "evaluate", "--scenario", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: sender_types: {message}\n"
+
+    @pytest.mark.parametrize("raw", ["two", "-1"])
+    def test_bad_thread_count_is_an_error_line(self, capsys, s1_path, monkeypatch, raw):
+        monkeypatch.setenv("RECO_THREADS", raw)
+        code, out, err = run_cli(capsys, "simulate", "--scenario", s1_path, "--samples", "1000")
+        assert (code, out) == (1, "")
+        assert err == f"error: RECO_THREADS must be a non-negative integer, got {raw!r}\n"
+
 
 class TestOutputFile:
     def test_out_flag_writes_file(self, capsys, s1_path, tmp_path):
@@ -385,3 +435,75 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["pi_buy"] == pytest.approx(0.6)
+
+
+# -- arbitrary type specs -------------------------------------------------------
+
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**400), 10**400)  # beyond float range
+    | st.floats()
+    | st.text(max_size=4)
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+numbers = (
+    st.floats(-0.6, 1.1)
+    | st.sampled_from([-0.5, 0.0, 0.5, 1.0, 10**400, "0.5", None])
+    | json_leaves
+)
+
+
+@st.composite
+def tabulated_points(draw):
+    """Points lists of any shape, often close to a valid CDF."""
+    shape = draw(st.sampled_from(["free", "pairs", "anchored"]))
+    if shape == "free":
+        return draw(json_values)
+    pairs = draw(st.lists(st.lists(numbers, min_size=1, max_size=3), max_size=6))
+    if shape == "anchored":
+        floats = [p for p in pairs if len(p) == 2 and all(isinstance(v, float) for v in p)]
+        pairs = [[-0.5, 0.0], *sorted(floats), [0.5, 1.0]]
+    return pairs
+
+
+type_specs = (
+    json_values
+    | st.fixed_dictionaries(
+        {"kind": st.sampled_from(["uniform", "power", "piecewise_symmetric"]) | json_leaves},
+        optional={"a": numbers, "beta_target": numbers, "R_ref": numbers},
+    )
+    | st.builds(lambda pts: {"kind": "tabulated", "points": pts}, tabulated_points())
+)
+
+
+@given(
+    sender=type_specs,
+    receiver=st.none() | type_specs,
+    argv=st.sampled_from([("evaluate",), ("simulate", "--samples", "1000")]),
+)
+@settings(max_examples=300, deadline=2000)
+def test_any_type_spec_ends_in_output_or_an_error_line(
+    tmp_path_factory, sender, receiver, argv
+):
+    doc = {"quality": {"qH": 0.4, "q1": 0.2, "q2": 0.2, "qL": 0.2}, "threshold": 0.5}
+    doc["sender_types"] = sender
+    if receiver is not None:
+        doc["receiver_types"] = receiver
+    folder = tmp_path_factory.mktemp("spec", numbered=True)
+    path, out = folder / "scenario.json", folder / "out.txt"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([*argv[:1], "--scenario", str(path), *argv[1:], "--out", str(out)])
+    if code == 0:
+        assert out.read_text() != ""
+    else:
+        assert code == 1 and not out.exists()
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recoval as rv
+from recoval import _quadrature
 from recoval.errors import EmptyIntervalError, ModelError
 
 from conftest import random_symmetric_tabulated
@@ -159,3 +160,154 @@ def test_spec_round_trip():
         grid = np.linspace(-0.5, 0.5, 21)
         for i in grid:
             assert rebuilt.cdf(float(i)) == pytest.approx(dist.cdf(float(i)), abs=0)
+
+
+# -- the piecewise-linear family -------------------------------------------------
+
+
+def walk_quantile(dist, u):
+    """The segment walk that ``PiecewiseSymmetricTypes.quantile`` replaced."""
+    k = dist.r_ref - 0.5
+    x = np.array([-0.5, -k, k, 0.5])
+    f = np.array([0.0, dist.beta_target, 1.0 - dist.beta_target, 1.0])
+    out = np.empty_like(u)
+    prev_f, prev_x = f[0], x[0]
+    filled = np.zeros(u.shape, dtype=bool)
+    for j in range(1, len(x)):
+        if f[j] > prev_f:
+            sel = (~filled) & (u <= f[j])
+            out[sel] = prev_x + (u[sel] - prev_f) * (x[j] - prev_x) / (f[j] - prev_f)
+            filled |= sel
+            prev_f, prev_x = f[j], x[j]
+        else:
+            prev_x = x[j]
+    out[~filled] = 0.5
+    out[u == 0.0] = -0.5
+    return out
+
+
+def bisect_quantile(dist, u):
+    """The bisection that ``TabulatedTypes.quantile`` replaced."""
+    xs, fs = (np.array(c) for c in zip(*dist.points))
+    lo, hi = np.full(u.shape, -0.5), np.full(u.shape, 0.5)
+    while np.max(hi - lo) > 1e-12:
+        mid = 0.5 * (lo + hi)
+        take_hi = np.interp(mid, xs, fs) >= u
+        hi = np.where(take_hi, mid, hi)
+        lo = np.where(take_hi, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@st.composite
+def tabulated_types(draw):
+    """Tabulated CDFs with 2-12 knots, about 0.01 apart (at least 0.002) in i and F."""
+    n = draw(st.integers(0, 10))
+    xs = draw(st.lists(st.integers(1, 99), min_size=n, max_size=n, unique=True))
+    fs = draw(st.lists(st.integers(1, 99), min_size=n, max_size=n, unique=True))
+    jitter = st.floats(-0.004, 0.004)
+    inner = [
+        (x / 100 - 0.5 + draw(jitter), f / 100 + draw(jitter))
+        for x, f in zip(sorted(xs), sorted(fs))
+    ]
+    return rv.TabulatedTypes(points=((-0.5, 0.0), *inner, (0.5, 1.0)))
+
+
+piecewise_types = st.builds(
+    rv.PiecewiseSymmetricTypes,
+    st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.5),
+    st.floats(0.51, 0.99),
+)
+probabilities = st.lists(
+    st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=20
+)
+
+
+@given(piecewise_types | tabulated_types(), probabilities, st.floats(-0.5, 0.5))
+@settings(max_examples=200, deadline=None)
+def test_quantile_is_the_generalized_inverse(dist, us, x):
+    u = np.array(us)
+    q = dist.quantile(u)
+    # the segment formula may round an ulp past the top knot
+    assert ((q >= -0.5) & (q <= 0.5 + 1e-15)).all()
+    assert (dist.cdf(q) >= u - 1e-12).all()
+    # inf{i : F(i) >= u}: no type below q reaches u
+    reaches = dist.cdf(x) >= u + 1e-12
+    assert (q[reaches] <= x + 1e-12).all()
+    assert (q[u == 0.0] == -0.5).all()
+
+
+@pytest.mark.parametrize("r_ref", [0.6, 0.75, 0.9])
+def test_quantile_takes_flat_segments_to_their_left_end(r_ref):
+    k = r_ref - 0.5
+    outer_flat = rv.PiecewiseSymmetricTypes(beta_target=0.0, r_ref=r_ref)
+    assert outer_flat.quantile(1.0) == pytest.approx(k, abs=1e-15)
+    inner_flat = rv.PiecewiseSymmetricTypes(beta_target=0.5, r_ref=r_ref)
+    assert inner_flat.quantile(0.5) == pytest.approx(-k, abs=1e-15)
+
+
+@given(tabulated_types(), probabilities)
+@settings(max_examples=100, deadline=None)
+def test_tabulated_quantile_is_within_the_old_bisection_tolerance(dist, us):
+    u = np.array(us)
+    np.testing.assert_allclose(dist.quantile(u), bisect_quantile(dist, u), rtol=0, atol=1e-12)
+
+
+@given(piecewise_types, probabilities)
+@settings(max_examples=100, deadline=None)
+def test_piecewise_quantile_equals_the_segment_walk_bit_for_bit(dist, us):
+    u = np.array(us)
+    assert np.array_equal(dist.quantile(u), walk_quantile(dist, u))
+
+
+interval_ends = st.floats(-0.6, 0.6)
+
+
+@given(
+    tabulated_types(),
+    st.lists(st.tuples(interval_ends, interval_ends).map(sorted), min_size=1, max_size=8),
+)
+@settings(max_examples=100, deadline=None)
+def test_tabulated_truncated_mean_matches_simpson(dist, intervals):
+    lo, hi = np.clip(np.array(intervals).T, -0.5, 0.5)
+    # at its default 1e-10, Simpson misses a knot just inside an end of the
+    # interval by up to about 14 times its tolerance
+    tail = _quadrature.adaptive_simpson(dist.cdf, lo, hi, tol=1e-12)
+    by_parts = np.where(hi > lo, hi * dist.cdf(hi) - lo * dist.cdf(lo) - tail, 0.0)
+    np.testing.assert_allclose(
+        dist.partial_expectation(lo, hi), by_parts, rtol=0, atol=1e-10
+    )
+
+
+@given(piecewise_types | tabulated_types(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_scalar_results_equal_their_element_in_a_batch(dist, data):
+    u = np.array(data.draw(probabilities))
+    ends = data.draw(
+        st.lists(st.tuples(interval_ends, interval_ends).map(sorted), min_size=len(u),
+                 max_size=len(u))
+    )
+    lo, hi = np.array(ends).T
+    quantiles, cdfs = dist.quantile(u), dist.cdf(lo)
+    means = dist.partial_expectation(lo, hi)
+    for k in range(len(u)):
+        assert dist.quantile(float(u[k])) == quantiles[k]
+        assert dist.cdf(float(lo[k])) == cdfs[k]
+        assert dist.partial_expectation(float(lo[k]), float(hi[k])) == means[k]
+
+
+@given(
+    tabulated_types(),
+    st.lists(st.tuples(interval_ends, interval_ends).map(sorted), min_size=1, max_size=8),
+)
+@settings(max_examples=100, deadline=None)
+def test_truncated_mean_adds_segments_left_to_right(dist, intervals):
+    xs, fs = zip(*dist.points)
+    got = dist.partial_expectation(*np.array(intervals).T)
+    for k, (lo, hi) in enumerate(intervals):
+        lo, hi = max(lo, -0.5), min(hi, 0.5)
+        total = 0.0
+        for j in range(1, len(xs)):
+            a, b = max(lo, xs[j - 1]), min(hi, xs[j])
+            if b > a:
+                total += (fs[j] - fs[j - 1]) / (xs[j] - xs[j - 1]) * 0.5 * (b * b - a * a)
+        assert got[k] == total

@@ -1,9 +1,12 @@
 """Monte Carlo harness: determinism, sampling, estimator concordance."""
 
+import os
+
 import numpy as np
 import pytest
 
 import recoval as rv
+from recoval import montecarlo
 from recoval.errors import ModelError
 
 from conftest import S1, S4_PAIR, S4_QUALITY, S5_QUALITY
@@ -51,6 +54,62 @@ class TestDeterminism:
         assert rv.estimate_pi_buy(S1, FAST).estimate != (
             rv.estimate_pi_buy(S1, other).estimate
         )
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("raw", [None, "", "0"])
+    def test_unset_or_zero_means_one_per_core(self, raw):
+        assert montecarlo._worker_count(raw, 64) == min(os.cpu_count() or 1, 8)
+        assert montecarlo._worker_count(raw, 1) == 1
+
+    def test_never_more_workers_than_blocks(self):
+        assert montecarlo._worker_count("3", 100) == 3
+        assert montecarlo._worker_count("1000000", 16) == 16
+        assert montecarlo._worker_count(str(10**50), 2) == 2
+
+    @pytest.mark.parametrize("raw", ["two", "1.5", "-1", " ", "4x"])
+    def test_bad_values_raise(self, raw):
+        with pytest.raises(ModelError, match="RECO_THREADS"):
+            montecarlo._worker_count(raw, 4)
+
+    def test_pool_is_asked_for_at_most_one_worker_per_block(self, monkeypatch):
+        requested = []
+
+        class InlinePool:
+            """Records the pool size and runs the blocks on this thread."""
+
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setenv("RECO_THREADS", "100000")
+        total = 2 * montecarlo.BLOCK_SIZE + 5
+        counts = montecarlo._run_blocks(3, total, lambda rng, count: count)
+        assert counts == [montecarlo.BLOCK_SIZE, montecarlo.BLOCK_SIZE, 5]
+        assert requested == [3]
+
+
+class TestVariance:
+    def test_large_common_offset_does_not_cancel(self):
+        # sum(x^2) - sum(x)^2 / n loses every digit of the variance here
+        rng = np.random.default_rng(5)
+        gains = 1e9 + rng.standard_normal(2 * montecarlo.BLOCK_SIZE + 1000)
+        blocks = np.split(gains, [montecarlo.BLOCK_SIZE, 2 * montecarlo.BLOCK_SIZE])
+        parts = [montecarlo._moments(block, block.size) for block in blocks]
+        est = montecarlo._mean_estimate(parts, seed=0)
+        assert est.samples == gains.size
+        assert est.estimate == sum(p[0] for p in parts) / gains.size
+        want = np.sqrt(np.var(gains, ddof=1) / gains.size)
+        assert est.stderr == pytest.approx(want, rel=1e-6)
 
 
 class TestEstimators:

@@ -2,8 +2,9 @@
 
 The ``ref_*`` functions below restate, in scalar Python, the
 per-threshold implementation the batched core replaced and serve as the
-reference: scalar CDFs and truncated means, recursive adaptive Simpson,
-posterior, effects, acceptance region, and the two value routes.
+reference: scalar CDFs, per-segment truncated means of the
+piecewise-linear CDFs, recursive adaptive Simpson, posterior, effects,
+acceptance region, and the two value routes.
 """
 
 import math
@@ -77,20 +78,15 @@ def ref_partial_expectation(dist, lo, hi):
     if isinstance(dist, rv.PiecewiseSymmetricTypes):
         k = dist.r_ref - 0.5
         xs, fs = [LO, -k, k, HI], [0.0, dist.beta_target, 1.0 - dist.beta_target, 1.0]
-        total = 0.0
-        for j in range(1, 4):
-            a, b = max(lo, xs[j - 1]), min(hi, xs[j])
-            if b > a:
-                slope = (fs[j] - fs[j - 1]) / (xs[j] - xs[j - 1])
-                total += slope * 0.5 * (b * b - a * a)
-        return total
-    if hi <= lo:
-        return 0.0
-
-    def cdf(i):
-        return ref_cdf(dist, i)
-
-    return hi * cdf(hi) - lo * cdf(lo) - ref_simpson(cdf, lo, hi)
+    else:
+        xs, fs = [p[0] for p in dist.points], [p[1] for p in dist.points]
+    total = 0.0
+    for j in range(1, len(xs)):
+        a, b = max(lo, xs[j - 1]), min(hi, xs[j])
+        if b > a:
+            slope = (fs[j] - fs[j - 1]) / (xs[j] - xs[j - 1])
+            total += slope * 0.5 * (b * b - a * a)
+    return total
 
 
 def ref_posterior(system, buy):
