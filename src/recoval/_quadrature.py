@@ -15,19 +15,21 @@ MAX_EVALS = 1 << 20
 # Most intervals refined by one vectorized step; bounds the working set.
 CHUNK = 1024
 
+# Most halvings of an interval.
+MAX_DEPTH = 40
+
 
 def adaptive_simpson(
     f: Callable[[np.ndarray], np.ndarray],
     a,
     b,
     tol: float = 1e-10,
-    max_depth: int = 40,
 ) -> np.ndarray:
     """Integrate a vectorized ``f`` over every ``[a_k, b_k]`` to absolute ``tol``.
 
     Simpson with Richardson correction; an interval whose halves miss the
     tolerance is split and each half refined to half of it, at most
-    ``max_depth`` times.  Unconverged intervals are refined breadth-first,
+    ``MAX_DEPTH`` times.  Unconverged intervals are refined breadth-first,
     ``CHUNK`` at a time, and each integral sums its halves over the same
     binary tree whatever the batch, so no element depends on the others.
     Empty intervals integrate to 0.  Raises ``ModelError`` on non-finite
@@ -79,7 +81,7 @@ def adaptive_simpson(
         delta = left + right - whole
         values = left + right + delta / 15.0
         split = ~(np.abs(delta) <= 15.0 * tol * 0.5**depth)
-        if depth >= max_depth or not split.any():
+        if depth >= MAX_DEPTH or not split.any():
             dest[:] = values
             continue
         halves = np.empty(2 * np.count_nonzero(split))

@@ -46,7 +46,6 @@ from .extensions import (
 from .montecarlo import (
     SimulationConfig,
     estimate_multi,
-    estimate_pi_buy,
     estimate_posterior,
     estimate_two_threshold,
     estimate_value,
@@ -101,7 +100,10 @@ class Scenario:
 def _require_number(data, path, lo=None, hi=None) -> float:
     if not isinstance(data, (int, float)) or isinstance(data, bool):
         raise ScenarioError(f"{path}: expected a number, got {data!r}")
-    x = float(data)
+    try:
+        x = float(data)
+    except OverflowError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
     if not math.isfinite(x):
         raise ScenarioError(f"{path}: expected a finite number, got {x}")
     if lo is not None and x < lo or hi is not None and x > hi:
@@ -377,9 +379,14 @@ def _cmd_region_map(scenario: Scenario, args):
 def _simulate_single(scenario: Scenario, config: SimulationConfig):
     system = scenario.system()
     pi_buy, _ = recommendation_probabilities(system)
-    rows = [("pi_buy", estimate_pi_buy(system, config), pi_buy)]
-    for rec, tag in ((Recommendation.BUY, "_buy"), (Recommendation.DONT_BUY, "_dont")):
-        table = estimate_posterior(system, rec, config)
+    # one buy report: its probability is pi_buy and its table the buy posterior
+    buy = estimate_multi(system, replace(config, mode="multi", buys=1, dont_buys=0))
+    dont = estimate_posterior(system, Recommendation.DONT_BUY, config)
+    rows = [("pi_buy", buy.value, pi_buy)]
+    for rec, tag, table in (
+        (Recommendation.BUY, "_buy", buy.posterior),
+        (Recommendation.DONT_BUY, "_dont", dont),
+    ):
         rows += _posterior_rows(tag, table, posterior(system, rec).probs)
     rows.append(("value", estimate_value(system, config), system_value(system).value))
     return rows

@@ -250,15 +250,19 @@ def posterior_probs(quality, phi_1, phi_2, rec: Recommendation) -> np.ndarray:
     return probs
 
 
+def _normalized(rec: Recommendation, weights, total: float, event: str) -> Posterior:
+    """The posterior ``weights / total`` after ``rec``; raises when ``event``,
+    of probability ``total``, cannot occur."""
+    if total <= 0.0:
+        raise UnreachableRecommendationError(f"{event} has zero probability")
+    return Posterior(recommendation=rec, probs=tuple(w / total for w in weights))
+
+
 def posterior(system: RecommendationSystem, rec: Recommendation) -> Posterior:
     """Bayesian posterior over versions given a recommendation."""
     phi_1, phi_2 = version_buy_probabilities(system.sender_types, system.threshold)
     name, total, weights = _posterior_weights(system.quality, phi_1, phi_2, rec)
-    if total <= 0.0:
-        raise UnreachableRecommendationError(
-            f"{name} recommendation has zero probability"
-        )
-    return Posterior(recommendation=rec, probs=tuple(w / total for w in weights))
+    return _normalized(rec, weights, total, f"{name} recommendation")
 
 
 def belief_decomposition(system: RecommendationSystem) -> BeliefDecomposition:

@@ -31,6 +31,10 @@ REGION_MAPS = ("interior", "panelA", "panelB", "panelC")
 _GRID_LO = 1e-4
 _GRID_HI = 1.0 - 1e-4
 _CONSTANT_TOL = 1e-9
+# golden-section tolerance in the threshold, and the distance from a grid
+# end within which an argmax counts as that edge (a monotone verdict)
+_REFINE_TOL = 1e-8
+_EDGE_MARGIN = 0.01
 
 # Below this prevalence the boundary-direction classification is exact in
 # the limit and still accurate across a wide odds range; above it we
@@ -85,9 +89,9 @@ def symmetric_slope(prevalence: float, good_odds: float) -> float:
     return q * (1.0 - 2.0 * q) * (1.0 - s) / (1.0 + s)
 
 
-def monotonicity_class_symmetric(good_odds: float, tol: float = 1e-12) -> str:
+def monotonicity_class_symmetric(good_odds: float) -> str:
     """Monotonicity of the value in the threshold, symmetric population."""
-    if abs(good_odds - 1.0) < tol:
+    if abs(good_odds - 1.0) < 1e-12:
         return CONSTANT
     return INCREASING if good_odds > 1.0 else DECREASING
 
@@ -131,12 +135,7 @@ def closed_form_value(
     )
 
 
-def interior_conditions(
-    a: float,
-    prevalence: float,
-    good_odds: float,
-    small_prevalence: float = SMALL_PREVALENCE,
-) -> str:
+def interior_conditions(a: float, prevalence: float, good_odds: float) -> str:
     """Classify the optimal threshold for a power-family population.
 
     Returns "interior" when the sufficient conditions for an interior
@@ -152,7 +151,7 @@ def interior_conditions(
     band = _interior_band(a, prevalence)
     if band is None or band[0] <= good_odds <= band[1]:
         return "interior"
-    if prevalence > small_prevalence:
+    if prevalence > SMALL_PREVALENCE:
         return "indeterminate"
     return "boundary_low" if good_odds < band[0] else "boundary_high"
 
@@ -201,16 +200,14 @@ def _golden_section_max(fn, lo: float, hi: float, tol: float) -> tuple[float, fl
 
 
 def optimize_threshold(
-    system: RecommendationSystem,
-    grid_points: int = 2001,
-    interior_margin: float = 0.01,
-    tol: float = 1e-8,
+    system: RecommendationSystem, grid_points: int = 2001
 ) -> DesignVerdict:
     """Maximize the system value over the threshold.
 
-    A dense grid guards against multimodality; golden-section then
-    refines around the grid argmax to ``tol`` in the threshold.  An
-    argmax within ``interior_margin`` of either end of the grid is
+    A dense grid of ``grid_points`` thresholds on [1e-4, 1 - 1e-4] guards
+    against multimodality; golden section then refines around the grid
+    argmax to a fixed tolerance of 1e-8 in the threshold.  An argmax
+    within a fixed edge margin of 0.01 of either end of the grid is
     reported as the matching monotone verdict instead of an interior
     optimum.
     """
@@ -226,13 +223,13 @@ def optimize_threshold(
     lo = float(grid[max(k - 1, 0)])
     hi = float(grid[min(k + 1, grid_points - 1)])
     best_r, best_v = _golden_section_max(
-        lambda r: system_value(system.with_threshold(r)).value, lo, hi, tol
+        lambda r: system_value(system.with_threshold(r)).value, lo, hi, _REFINE_TOL
     )
     if best_v < values[k]:
         best_r, best_v = float(grid[k]), float(values[k])
-    if best_r <= _GRID_LO + interior_margin:
+    if best_r <= _GRID_LO + _EDGE_MARGIN:
         kind, note = DECREASING, "argmax at the low edge of the grid"
-    elif best_r >= _GRID_HI - interior_margin:
+    elif best_r >= _GRID_HI - _EDGE_MARGIN:
         kind, note = INCREASING, "argmax at the high edge of the grid"
     else:
         kind, note = INTERIOR, f"grid argmax at {grid[k]:.6f} refined by golden section"

@@ -12,11 +12,17 @@ Four families are supported:
 
 The last two share one piecewise-linear implementation.
 
-All distributions are immutable and safe for concurrent use.  ``cdf``,
-``partial_expectation`` and ``quantile`` accept scalars or numpy arrays
-(a scalar in, a Python float out).  Every family has closed-form means,
-truncated means and quantiles; the piecewise-linear ones sum exact
-per-segment terms and find quantiles by ``searchsorted`` on the knots.
+All distributions are immutable and safe for concurrent use.  Every
+family has closed-form means, truncated means and quantiles; the
+piecewise-linear ones sum exact per-segment terms and find quantiles by
+``searchsorted`` on the knots.
+
+``TypeDistribution`` alone holds the type-interval contract: ``cdf``
+clips i into [-1/2, 1/2], ``partial_expectation`` needs lo <= hi and
+clips both, ``quantile`` needs u in [0, 1] and stays in [-1/2, 1/2];
+each takes scalars or arrays (a scalar in, a Python float out).
+Families implement ``_cdf``, ``_quantile`` and ``_partial_expectation``
+on arguments already inside the interval.
 """
 
 from __future__ import annotations
@@ -37,20 +43,20 @@ class TypeDistribution:
     symmetric: bool = False
 
     def cdf(self, i):
-        """F(i), clipped to the type interval."""
-        raise NotImplementedError
+        """F(i), with ``i`` clipped into the type interval."""
+        return _scalar_or_array(self._cdf(_clip(i)))
 
     def quantile(self, u):
-        """Generalized inverse CDF."""
-        raise NotImplementedError
+        """Generalized inverse CDF inf{i : F(i) >= u} for u in [0, 1]."""
+        u = np.asarray(u, dtype=float)
+        if np.any(u < 0.0) or np.any(u > 1.0):
+            raise ModelError("quantile argument must lie in [0, 1]")
+        return _scalar_or_array(self._quantile(u))
 
     def partial_expectation(self, lo, hi):
-        """Integral of i over [lo, hi] against the distribution."""
-        raise NotImplementedError
-
-    def mass(self, lo: float, hi: float) -> float:
-        lo, hi = _clip_interval(lo, hi)
-        return self.cdf(hi) - self.cdf(lo)
+        """Integral of i over [lo, hi], clipped into the type interval,
+        against the distribution."""
+        return _scalar_or_array(self._partial_expectation(*_clip_interval(lo, hi)))
 
     def mean(self) -> float:
         return self.partial_expectation(LO, HI)
@@ -68,27 +74,21 @@ class TypeDistribution:
         raise NotImplementedError
 
 
+def _clip(x):
+    """``x`` clipped into [LO, HI]; ``np.clip`` without the Python-level
+    dispatch that dominates small inputs."""
+    return np.minimum(np.maximum(x, LO), HI)
+
+
 def _clip_interval(lo, hi):
     if (np.asarray(lo) > hi).any():
         raise ModelError(f"interval bounds out of order: [{lo}, {hi}]")
-    return np.maximum(lo, LO), np.minimum(hi, HI)
-
-
-def _clip(x, lo, hi):
-    """``np.clip`` without the Python-level dispatch that dominates small inputs."""
-    return np.minimum(np.maximum(x, lo), hi)
+    return _clip(lo), _clip(hi)
 
 
 def _scalar_or_array(x):
     """A Python float for a 0-d result, the array otherwise."""
     return x if getattr(x, "ndim", 0) else float(x)
-
-
-def _check_u(u):
-    arr = np.asarray(u, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ModelError("quantile argument must lie in [0, 1]")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -97,15 +97,14 @@ class UniformTypes(TypeDistribution):
 
     symmetric = True
 
-    def cdf(self, i):
-        return _scalar_or_array(_clip(np.asarray(i) + 0.5, 0.0, 1.0))
+    def _cdf(self, i):
+        return i + 0.5
 
-    def quantile(self, u):
-        return _scalar_or_array(_check_u(u) - 0.5)
+    def _quantile(self, u):
+        return u - 0.5
 
-    def partial_expectation(self, lo, hi):
-        lo, hi = _clip_interval(lo, hi)
-        return _scalar_or_array(0.5 * (hi * hi - lo * lo))
+    def _partial_expectation(self, lo, hi):
+        return 0.5 * (hi * hi - lo * lo)
 
     def spec(self) -> dict:
         return {"kind": "uniform"}
@@ -126,15 +125,14 @@ class PowerTypes(TypeDistribution):
     def symmetric(self) -> bool:  # type: ignore[override]
         return self.a == 1.0
 
-    def cdf(self, i):
-        return _scalar_or_array(_clip(np.asarray(i) + 0.5, 0.0, 1.0) ** self.a)
+    def _cdf(self, i):
+        return (i + 0.5) ** self.a
 
-    def quantile(self, u):
-        return _scalar_or_array(_check_u(u) ** (1.0 / self.a) - 0.5)
+    def _quantile(self, u):
+        return u ** (1.0 / self.a) - 0.5
 
-    def partial_expectation(self, lo, hi):
-        lo, hi = _clip_interval(lo, hi)
-        return _scalar_or_array(self._antideriv(hi) - self._antideriv(lo))
+    def _partial_expectation(self, lo, hi):
+        return self._antideriv(hi) - self._antideriv(lo)
 
     def _antideriv(self, i):
         # integral of i * a (i+1/2)^(a-1), by parts
@@ -177,21 +175,21 @@ class _PiecewiseLinearTypes(TypeDistribution):
         object.__setattr__(self, "_slope", np.array(df, dtype=float) / dx)
         object.__setattr__(self, "_segments", segments)
 
-    def cdf(self, i):
-        return _scalar_or_array(np.interp(_clip(i, LO, HI), self._x, self._f))
+    def _cdf(self, i):
+        return np.interp(i, self._x, self._f)
 
-    def quantile(self, u):
-        u = _check_u(u)
+    def _quantile(self, u):
         x0, f0, dx, df = self._segments.take(np.searchsorted(self._f, u), axis=1)
-        return _scalar_or_array(x0 + (u - f0) * dx / df)
+        x = np.asarray(x0 + (u - f0) * dx / df)
+        # rounding in the top segment can land an ulp or two above HI
+        return np.minimum(x, HI, out=x)
 
-    def partial_expectation(self, lo, hi):
-        lo, hi = _clip_interval(lo, hi)
+    def _partial_expectation(self, lo, hi):
         a = np.maximum(np.asarray(lo)[..., None], self._x[:-1])
         b = np.minimum(np.asarray(hi)[..., None], self._x[1:])
         part = np.where(b > a, self._slope * 0.5 * (b * b - a * a), 0.0)
         # segments added left to right (np.sum would pair them up)
-        return _scalar_or_array(0.0 + np.cumsum(part, axis=-1)[..., -1])
+        return 0.0 + np.cumsum(part, axis=-1)[..., -1]
 
 
 @dataclass(frozen=True)
@@ -272,18 +270,24 @@ class TabulatedTypes(_PiecewiseLinearTypes):
 
 
 def distribution_from_spec(data: dict) -> TypeDistribution:
-    """Build a distribution from its JSON description (see ``spec()``)."""
+    """Build a distribution from its JSON description (see ``spec()``);
+    keys that ``spec()`` does not write are rejected."""
     if not isinstance(data, dict) or "kind" not in data:
         raise ModelError("type distribution spec must be an object with a 'kind'")
     kind = data["kind"]
     if kind == "uniform":
-        return UniformTypes()
-    if kind == "power":
-        return PowerTypes(a=float(data["a"]))
-    if kind == "piecewise_symmetric":
-        return PiecewiseSymmetricTypes(
+        dist = UniformTypes()
+    elif kind == "power":
+        dist = PowerTypes(a=float(data["a"]))
+    elif kind == "piecewise_symmetric":
+        dist = PiecewiseSymmetricTypes(
             beta_target=float(data["beta_target"]), r_ref=float(data["R_ref"])
         )
-    if kind == "tabulated":
-        return TabulatedTypes(points=tuple(tuple(p) for p in data["points"]))
-    raise ModelError(f"unknown type distribution kind: {kind!r}")
+    elif kind == "tabulated":
+        dist = TabulatedTypes(points=tuple(tuple(p) for p in data["points"]))
+    else:
+        raise ModelError(f"unknown type distribution kind: {kind!r}")
+    unknown = set(data) - set(dist.spec())
+    if unknown:
+        raise ModelError(f"unknown {kind!r} spec keys: {sorted(unknown, key=repr)}")
+    return dist

@@ -22,6 +22,7 @@ from .core import (
     QualityDistribution,
     Recommendation,
     RecommendationSystem,
+    _normalized,
     version_buy_probabilities,
 )
 from .design import CONSTANT, DECREASING, INCREASING, optimize_threshold
@@ -29,7 +30,6 @@ from .distributions import HI, LO, TypeDistribution
 from .errors import (
     IndeterminateConfigurationError,
     ModelError,
-    UnreachableRecommendationError,
     UnsupportedConfigurationError,
     require_finite,
 )
@@ -84,15 +84,6 @@ class InfiniteLearningPolicy:
 
     cutoff: float
     direction: str
-    buy_good: bool = True
-    buy_bad: bool = False
-
-    def buys_controversial(self, i: float) -> bool:
-        if self.direction == "all":
-            return True
-        if self.direction == "none":
-            return False
-        return i >= self.cutoff if self.direction == "above" else i <= self.cutoff
 
 
 def distinct_value(
@@ -164,12 +155,7 @@ def three_level_posterior(
         weights = (0.0, q.q_1 * gamma_1, q.q_2 * gamma_2, 0.0)
     else:
         raise ModelError(f"three-level systems do not emit {rec}")
-    total = sum(weights)
-    if total <= 0.0:
-        raise UnreachableRecommendationError(
-            f"{rec.value} recommendation has zero probability"
-        )
-    return Posterior(recommendation=rec, probs=tuple(w / total for w in weights))
+    return _normalized(rec, weights, sum(weights), f"{rec.value} recommendation")
 
 
 def neutral_indifferent_type(quality: QualityDistribution) -> float:
@@ -296,18 +282,15 @@ def multi_posterior(
     controversial pair.
     """
     weights = multi_weights(quality, dist, threshold, counts)
-    total, b, d = sum(weights), counts.buys, counts.dont_buys
-    if total <= 0.0:
-        raise UnreachableRecommendationError(
-            f"observing {b} buys and {d} dont-buys has zero probability"
-        )
+    b, d = counts.buys, counts.dont_buys
     if d == 0:
         rec = Recommendation.BUY
     elif b == 0:
         rec = Recommendation.DONT_BUY
     else:
         rec = Recommendation.NEUTRAL
-    return Posterior(recommendation=rec, probs=tuple(w / total for w in weights))
+    event = f"observing {b} buys and {d} dont-buys"
+    return _normalized(rec, weights, sum(weights), event)
 
 
 def infinite_learning_policy(quality: QualityDistribution) -> InfiniteLearningPolicy:

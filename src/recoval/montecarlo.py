@@ -32,6 +32,10 @@ from .receiver import effects
 
 BLOCK_SIZE = 1 << 16
 
+# Most reports a ``multi`` estimate simulates per sample: its cost is
+# reports x samples quantile draws.
+MAX_REPORTS = 1000
+
 _W1 = np.array([1.0, 1.0, 0.0, 0.0])
 _W2 = np.array([1.0, 0.0, 1.0, 0.0])
 
@@ -58,6 +62,8 @@ class SimulationConfig:
             raise ModelError(f"unknown simulation mode {self.mode!r}")
         if self.mode == "multi":
             counts = MultiRecCount(self.buys or 0, self.dont_buys or 0)
+            if counts.buys + counts.dont_buys > MAX_REPORTS:
+                raise ModelError(f"simulation takes at most {MAX_REPORTS} reports")
             object.__setattr__(self, "buys", counts.buys)
             object.__setattr__(self, "dont_buys", counts.dont_buys)
 
@@ -187,16 +193,10 @@ def _buys_controversial(quality: QualityDistribution, types: np.ndarray) -> np.n
 def estimate_pi_buy(
     system: RecommendationSystem, config: SimulationConfig
 ) -> EstimateWithError:
-    """Empirical probability that a random sender recommends buying."""
-    quality, dist, threshold = system.quality, system.sender_types, system.threshold
-
-    def block(rng, count):
-        u = rng.random((2, count))
-        versions = _sample_versions(quality, u[0])
-        senders = dist.quantile(u[1])
-        return _moments(_payoffs(versions, senders) >= threshold, count)
-
-    return _mean_estimate(_run_blocks(config.seed, config.samples, block), config.seed)
+    """Empirical probability that a random sender recommends buying: the
+    probability of one buy report in ``multi`` mode."""
+    one_buy = replace(config, mode="multi", buys=1, dont_buys=0)
+    return estimate_multi(system, one_buy).value
 
 
 def estimate_value(
@@ -278,21 +278,18 @@ def _estimate_multi_counts(system, config) -> MultiEstimate:
     n_reports = config.buys + config.dont_buys
 
     def block(rng, count):
-        u_version = rng.random(count)
-        u_senders = rng.random((n_reports, count))
-        versions = _sample_versions(quality, u_version)
+        versions = _sample_versions(quality, rng.random(count))
         buy_counts = np.zeros(count, dtype=np.int64)
-        for j in range(n_reports):
-            senders = dist.quantile(u_senders[j])
+        for _ in range(n_reports):  # a report at a time: O(count) memory per block
+            senders = dist.quantile(rng.random(count))
             buy_counts += _payoffs(versions, senders) >= threshold
         kept = buy_counts == config.buys
         tallies = np.bincount(versions[kept], minlength=4).astype(float)
-        return float(kept.sum()), tallies, count
+        return (*_moments(kept, count), tallies)
 
     parts = _run_blocks(config.seed, config.samples, block)
-    kept_total = sum(p[0] for p in parts)
-    event = _proportion(kept_total, sum(p[2] for p in parts), config.seed)
-    tallies = sum(p[1] for p in parts)
+    event = _mean_estimate([p[:3] for p in parts], config.seed)
+    kept_total, tallies = sum(p[0] for p in parts), sum(p[3] for p in parts)
     return MultiEstimate(event, _table(tallies, kept_total, config.seed))
 
 
@@ -314,7 +311,7 @@ def _estimate_infinite(system, config) -> MultiEstimate:
         return (*_moments(gain, count), tallies, float(controversial.sum()))
 
     parts = _run_blocks(config.seed, config.samples, block)
-    value = _mean_estimate([(p[0], p[1], p[2]) for p in parts], config.seed)
+    value = _mean_estimate([p[:3] for p in parts], config.seed)
     tallies, contro_total = sum(p[3] for p in parts), sum(p[4] for p in parts)
     return MultiEstimate(value, _table(tallies, contro_total, config.seed))
 

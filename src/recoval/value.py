@@ -52,15 +52,11 @@ class SymmetricParams:
     ``prevalence`` is the controversial share (q_1 + q_2) / 2,
     ``good_odds`` the ratio q_h / q_l and ``controversial_odds`` the
     ratio q_1 / q_2; the odds are None when their denominators vanish.
-    ``buy_share`` is the fraction of a symmetric population willing to
-    recommend a controversial version, F(1/2 - R); it is threshold
-    dependent and therefore optional here.
     """
 
     prevalence: float
     good_odds: float | None
     controversial_odds: float | None
-    buy_share: float | None = None
 
 
 @dataclass(frozen=True)

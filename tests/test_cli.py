@@ -407,6 +407,15 @@ class TestErrors:
                 {"kind": "tabulated", "points": [[-0.5, 0], ["x", 0.5], [0.5, 1]]},
                 "could not convert string to float: 'x'",
             ),
+            ({"kind": "power", "a": 2, "b": 3}, "unknown 'power' spec keys: ['b']"),
+            (
+                {"kind": "tabulated", "points": [[-0.5, 0], [0, 0.5], [0.5, 1]], "x": 1},
+                "unknown 'tabulated' spec keys: ['x']",
+            ),
+            (
+                {"kind": "uniform", "a": 1, "R_ref": 0.7},
+                "unknown 'uniform' spec keys: ['R_ref', 'a']",
+            ),
         ],
     )
     def test_malformed_type_specs_are_error_lines(self, capsys, tmp_path, spec, message):
@@ -417,6 +426,28 @@ class TestErrors:
         code, out, err = run_cli(capsys, "evaluate", "--scenario", str(path))
         assert (code, out) == (1, "")
         assert err == f"error: sender_types: {message}\n"
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("threshold", 10**400, "threshold: int too large to convert to float"),
+            ("quality", {"Q": 0.2, "sigma": 10**400},
+             "quality: quality.sigma: int too large to convert to float"),
+            ("threshold", {"R1": 0.2, "R2": -(10**400)},
+             "threshold: threshold.R2: int too large to convert to float"),
+            ("threshold", {"b": 10**400, "d": 1, "R": 0.5},
+             "simulation takes at most 1000 reports"),
+        ],
+        ids=["threshold", "quality", "pair", "report_counts"],
+    )
+    def test_oversized_numbers_are_error_lines(self, capsys, tmp_path, field, value, message):
+        doc = json.loads(S1_DOC)
+        doc[field] = value
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "simulate", "--scenario", str(path), "--samples", "1000")
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("raw", ["two", "-1"])
     def test_bad_thread_count_is_an_error_line(self, capsys, s1_path, monkeypatch, raw):
@@ -483,20 +514,8 @@ type_specs = (
 )
 
 
-@given(
-    sender=type_specs,
-    receiver=st.none() | type_specs,
-    argv=st.sampled_from([("evaluate",), ("simulate", "--samples", "1000")]),
-)
-@settings(max_examples=300, deadline=2000)
-def test_any_type_spec_ends_in_output_or_an_error_line(
-    tmp_path_factory, sender, receiver, argv
-):
-    doc = {"quality": {"qH": 0.4, "q1": 0.2, "q2": 0.2, "qL": 0.2}, "threshold": 0.5}
-    doc["sender_types"] = sender
-    if receiver is not None:
-        doc["receiver_types"] = receiver
-    folder = tmp_path_factory.mktemp("spec", numbered=True)
+def assert_output_or_error_line(tmp_path_factory, doc, argv):
+    folder = tmp_path_factory.mktemp("doc", numbered=True)
     path, out = folder / "scenario.json", folder / "out.txt"
     path.write_text(json.dumps(doc))
     err = io.StringIO()
@@ -507,3 +526,60 @@ def test_any_type_spec_ends_in_output_or_an_error_line(
     else:
         assert code == 1 and not out.exists()
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+COMMANDS = st.sampled_from([("evaluate",), ("simulate", "--samples", "1000")])
+
+
+@given(sender=type_specs, receiver=st.none() | type_specs, argv=COMMANDS)
+@settings(max_examples=300, deadline=2000)
+def test_any_type_spec_ends_in_output_or_an_error_line(
+    tmp_path_factory, sender, receiver, argv
+):
+    doc = {"quality": {"qH": 0.4, "q1": 0.2, "q2": 0.2, "qL": 0.2}, "threshold": 0.5}
+    doc["sender_types"] = sender
+    if receiver is not None:
+        doc["receiver_types"] = receiver
+    assert_output_or_error_line(tmp_path_factory, doc, argv)
+
+
+# -- arbitrary qualities and thresholds ------------------------------------------
+
+probability_vectors = (
+    st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=4, max_size=4)
+    .filter(lambda p: sum(p) > 0.0)
+    .map(lambda p: [x / sum(p) for x in p])
+)
+odds = st.just(1.0) | st.floats(1e-3, 1e3) | numbers
+quality_specs = (
+    json_values
+    | st.builds(lambda p: dict(zip(("qH", "q1", "q2", "qL"), p)), probability_vectors)
+    | st.fixed_dictionaries({k: numbers for k in ("qH", "q1", "q2", "qL")})
+    | st.fixed_dictionaries(
+        {"Q": st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.5) | numbers, "sigma": odds},
+        optional={"lambda": odds},
+    )
+)
+thresholds = st.sampled_from([1e-9, 1.0 - 1e-9]) | st.floats(0.0, 1.0) | numbers
+report_counts = st.integers(-1, 4) | st.integers(0, 10**400) | numbers
+threshold_specs = (
+    json_values
+    | thresholds
+    | st.just("infinite")
+    | st.fixed_dictionaries({"R1": thresholds, "R2": thresholds})
+    | st.fixed_dictionaries({"b": report_counts, "d": report_counts, "R": thresholds})
+)
+valid_types = st.sampled_from([
+    {"kind": "uniform"},
+    {"kind": "power", "a": 2.5},
+    {"kind": "piecewise_symmetric", "beta_target": 0.0, "R_ref": 0.75},
+])
+
+
+@given(quality=quality_specs, threshold=threshold_specs, sender=valid_types, argv=COMMANDS)
+@settings(max_examples=300, deadline=2000)
+def test_any_quality_and_threshold_end_in_output_or_an_error_line(
+    tmp_path_factory, quality, threshold, sender, argv
+):
+    doc = {"quality": quality, "sender_types": sender, "threshold": threshold}
+    assert_output_or_error_line(tmp_path_factory, doc, argv)

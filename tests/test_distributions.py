@@ -311,3 +311,68 @@ def test_truncated_mean_adds_segments_left_to_right(dist, intervals):
             if b > a:
                 total += (fs[j] - fs[j - 1]) / (xs[j] - xs[j - 1]) * 0.5 * (b * b - a * a)
         assert got[k] == total
+
+
+# -- the type-interval contract -------------------------------------------------
+
+any_types = (
+    st.just(rv.UniformTypes())
+    | st.builds(rv.PowerTypes, st.floats(0.1, 8.0))
+    | piecewise_types
+    | tabulated_types()
+)
+# quantile(1.0) used to round to 0.5000000000000002 in the top segment
+TOP_SEGMENT_OVERSHOOT = rv.TabulatedTypes(points=(
+    (-0.5, 0.0), (-0.49, 0.01), (-0.48, 0.02), (-0.47, 0.03), (-0.46, 0.04),
+    (-0.45, 0.05), (-0.439999999999, 0.61), (0.5, 1.0),
+))
+wide_ends = st.floats(-2.0, 2.0) | st.sampled_from([-0.7, -0.6, -0.5, 0.5, 0.6, 0.7])
+
+
+def test_quantile_never_leaves_the_type_interval_at_the_top():
+    assert TOP_SEGMENT_OVERSHOOT.quantile(1.0) == 0.5
+
+
+@given(any_types | st.just(TOP_SEGMENT_OVERSHOOT), probabilities)
+@settings(max_examples=200, deadline=None)
+def test_quantiles_lie_in_the_type_interval(dist, us):
+    q = dist.quantile(np.array(us + [1.0]))
+    assert ((q >= -0.5) & (q <= 0.5)).all()
+
+
+@pytest.mark.parametrize(
+    "dist, lo, hi",
+    [
+        (rv.UniformTypes(), 0.6, 0.7),
+        (rv.PowerTypes(2.5), 0.6, 0.7),
+        (rv.PowerTypes(2.5), -0.7, -0.6),
+    ],
+)
+def test_truncated_mean_outside_the_type_interval_is_zero(dist, lo, hi):
+    assert dist.partial_expectation(lo, hi) == 0.0
+
+
+@given(any_types, st.lists(st.tuples(wide_ends, wide_ends).map(sorted), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_truncated_means_clip_both_ends_into_the_type_interval(dist, intervals):
+    lo, hi = np.array(intervals).T
+    got = dist.partial_expectation(lo, hi)
+    clipped = dist.partial_expectation(np.clip(lo, -0.5, 0.5), np.clip(hi, -0.5, 0.5))
+    assert np.array_equal(got, clipped)
+    assert (got[(hi <= -0.5) | (lo >= 0.5)] == 0.0).all()
+
+
+@given(any_types, st.lists(wide_ends, min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_cdf_clips_its_argument_into_the_type_interval(dist, xs):
+    i = np.array(xs)
+    assert np.array_equal(dist.cdf(i), dist.cdf(np.clip(i, -0.5, 0.5)))
+
+
+@given(any_types)
+@settings(max_examples=100, deadline=None)
+def test_spec_rebuilds_an_equal_distribution(dist):
+    spec = dist.spec()
+    assert rv.distribution_from_spec(spec) == dist
+    with pytest.raises(ModelError, match=r"unknown .* spec keys: \['x'\]"):
+        rv.distribution_from_spec({**spec, "x": 1})

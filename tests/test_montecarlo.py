@@ -1,12 +1,13 @@
 """Monte Carlo harness: determinism, sampling, estimator concordance."""
 
+import json
 import os
 
 import numpy as np
 import pytest
 
 import recoval as rv
-from recoval import montecarlo
+from recoval import cli, montecarlo
 from recoval.errors import ModelError
 
 from conftest import S1, S4_PAIR, S4_QUALITY, S5_QUALITY
@@ -112,6 +113,60 @@ class TestVariance:
         assert est.stderr == pytest.approx(want, rel=1e-6)
 
 
+def reference_pi_buy(system, config):
+    """The block function ``estimate_pi_buy`` ran before it became a
+    one-report ``multi`` estimate."""
+    quality, dist, threshold = system.quality, system.sender_types, system.threshold
+
+    def block(rng, count):
+        u = rng.random((2, count))
+        versions = montecarlo._sample_versions(quality, u[0])
+        senders = dist.quantile(u[1])
+        return montecarlo._moments(montecarlo._payoffs(versions, senders) >= threshold, count)
+
+    parts = montecarlo._run_blocks(config.seed, config.samples, block)
+    return montecarlo._mean_estimate(parts, config.seed)
+
+
+class TestSingleReport:
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            UNIFORM,
+            rv.PowerTypes(2.5),
+            rv.PiecewiseSymmetricTypes(beta_target=0.2, r_ref=0.7),
+            rv.TabulatedTypes(points=((-0.5, 0.0), (-0.1, 0.25), (0.2, 0.7), (0.5, 1.0))),
+        ],
+    )
+    def test_pi_buy_equals_the_old_block_function_bit_for_bit(self, dist):
+        system = rv.RecommendationSystem(
+            rv.QualityDistribution(0.3, 0.25, 0.1, 0.35), dist, 0.55
+        )
+        config = rv.SimulationConfig(samples=70_001, seed=5)
+        assert rv.estimate_pi_buy(system, config) == reference_pi_buy(system, config)
+
+    def test_cli_simulate_makes_three_passes(self, monkeypatch, tmp_path):
+        passes = []
+        run_blocks = montecarlo._run_blocks
+
+        def counted(seed, total, block_fn):
+            passes.append(total)
+            return run_blocks(seed, total, block_fn)
+
+        monkeypatch.setattr(montecarlo, "_run_blocks", counted)
+        monkeypatch.setenv("RECO_THREADS", "1")
+        scenario = tmp_path / "s1.json"
+        scenario.write_text(json.dumps({
+            "quality": {"qH": 0.4, "q1": 0.2, "q2": 0.2, "qL": 0.2},
+            "sender_types": {"kind": "uniform"},
+            "threshold": 0.5,
+        }))
+        argv = ["simulate", "--scenario", str(scenario), "--samples", "2000",
+                "--out", str(tmp_path / "out.json")]
+        assert cli.main(argv) == 0
+        assert passes == [2000, 2000, 2000]
+
+
 class TestEstimators:
     def test_pi_buy_baseline(self):
         est = rv.estimate_pi_buy(S1, FAST)
@@ -213,6 +268,12 @@ class TestConfigValidation:
     def test_unknown_mode(self):
         with pytest.raises(ModelError):
             rv.SimulationConfig(samples=2_000, seed=0, mode="bogus")
+
+    def test_simulated_reports_are_capped(self):
+        cap = montecarlo.MAX_REPORTS
+        rv.SimulationConfig(samples=2_000, seed=0, mode="multi", buys=cap - 1, dont_buys=1)
+        with pytest.raises(ModelError, match=f"at most {cap} reports"):
+            rv.SimulationConfig(samples=2_000, seed=0, mode="multi", buys=cap, dont_buys=1)
 
     def test_multi_mode_needs_counts(self):
         with pytest.raises(ModelError):
