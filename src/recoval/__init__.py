@@ -76,9 +76,11 @@ from .montecarlo import (
     EstimateWithError,
     MultiEstimate,
     SimulationConfig,
+    SingleEstimate,
     estimate_multi,
     estimate_pi_buy,
     estimate_posterior,
+    estimate_single,
     estimate_two_threshold,
     estimate_value,
 )

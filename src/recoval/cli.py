@@ -46,9 +46,8 @@ from .extensions import (
 from .montecarlo import (
     SimulationConfig,
     estimate_multi,
-    estimate_posterior,
+    estimate_single,
     estimate_two_threshold,
-    estimate_value,
 )
 from .receiver import REGION_KINDS
 from .value import (
@@ -188,8 +187,8 @@ def parse_scenario(text: str) -> Scenario:
         if not 0.0 < threshold < 1.0:
             raise ScenarioError(f"threshold.R: {threshold} out of (0, 1)")
         try:
-            counts = MultiRecCount(buys=int(spec["b"]), dont_buys=int(spec["d"]))
-        except (ValueError, TypeError, OverflowError) as exc:
+            counts = MultiRecCount(buys=spec["b"], dont_buys=spec["d"])
+        except ModelError as exc:
             raise ScenarioError(f"threshold: {exc}") from exc
     else:
         raise ScenarioError(
@@ -379,16 +378,14 @@ def _cmd_region_map(scenario: Scenario, args):
 def _simulate_single(scenario: Scenario, config: SimulationConfig):
     system = scenario.system()
     pi_buy, _ = recommendation_probabilities(system)
-    # one buy report: its probability is pi_buy and its table the buy posterior
-    buy = estimate_multi(system, replace(config, mode="multi", buys=1, dont_buys=0))
-    dont = estimate_posterior(system, Recommendation.DONT_BUY, config)
-    rows = [("pi_buy", buy.value, pi_buy)]
+    est = estimate_single(system, config)
+    rows = [("pi_buy", est.pi_buy, pi_buy)]
     for rec, tag, table in (
-        (Recommendation.BUY, "_buy", buy.posterior),
-        (Recommendation.DONT_BUY, "_dont", dont),
+        (Recommendation.BUY, "_buy", est.buy_posterior),
+        (Recommendation.DONT_BUY, "_dont", est.dont_posterior),
     ):
         rows += _posterior_rows(tag, table, posterior(system, rec).probs)
-    rows.append(("value", estimate_value(system, config), system_value(system).value))
+    rows.append(("value", est.value, system_value(system).value))
     return rows
 
 
@@ -469,13 +466,16 @@ def _cmd_multi(scenario: Scenario, args):
         env = (scenario.quality, scenario.sender_types, scenario.threshold, counts)
         post, weights = multi_posterior(*env), multi_weights(*env)
         b, d = counts.buys, counts.dont_buys
+        # exact integer product, rounded once: comb(b + d, b) can pass float
+        # range while the weights are subnormal
+        num, den = sum(weights).as_integer_ratio()
         return {
             "recommendation": post.recommendation.value,
             "p_H": post.p_h,
             "p_1": post.p_1,
             "p_2": post.p_2,
             "p_L": post.p_l,
-            "event_prob": math.comb(b + d, b) * sum(weights),
+            "event_prob": math.comb(b + d, b) * num / den,
             "b": b,
             "d": d,
         }, None

@@ -1,6 +1,7 @@
 """Exception types shared across the package."""
 
 import math
+import numbers
 
 
 class ModelError(ValueError):
@@ -36,3 +37,13 @@ def require_finite(what: str, *values) -> None:
     for v in values:
         if not (isinstance(v, int) or math.isfinite(v)):
             raise ModelError(f"{what} must be finite, got {v}")
+
+
+def require_integers(what: str, *values) -> None:
+    """Raise ModelError unless every value is an integer (not a bool, and
+    not a float, which would be silently truncated)."""
+    for v in values:
+        if isinstance(v, float):
+            require_finite(what, v)
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ModelError(f"{what} must be integers, got {v!r}")

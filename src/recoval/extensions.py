@@ -31,7 +31,7 @@ from .errors import (
     IndeterminateConfigurationError,
     ModelError,
     UnsupportedConfigurationError,
-    require_finite,
+    require_integers,
 )
 from .value import ValueReport, symmetric_value, system_value
 
@@ -68,7 +68,7 @@ class MultiRecCount:
     dont_buys: int
 
     def __post_init__(self):
-        require_finite("report counts", self.buys, self.dont_buys)
+        require_integers("report counts", self.buys, self.dont_buys)
         if self.buys < 0 or self.dont_buys < 0 or self.buys + self.dont_buys < 1:
             raise ModelError("need non-negative counts with at least one report")
 
@@ -261,12 +261,15 @@ def multi_weights(
     """
     q, b, d = quality, counts.buys, counts.dont_buys
     phi_1, phi_2 = version_buy_probabilities(dist, threshold)
-    return (
-        q.q_h if d == 0 else 0.0,
-        q.q_1 * phi_1**b * (1.0 - phi_1) ** d,
-        q.q_2 * phi_2**b * (1.0 - phi_2) ** d,
-        q.q_l if b == 0 else 0.0,
-    )
+    try:  # a count beyond float range cannot be an exponent
+        return (
+            q.q_h if d == 0 else 0.0,
+            q.q_1 * phi_1**b * (1.0 - phi_1) ** d,
+            q.q_2 * phi_2**b * (1.0 - phi_2) ** d,
+            q.q_l if b == 0 else 0.0,
+        )
+    except OverflowError as exc:
+        raise ModelError(f"report counts: {exc}") from exc
 
 
 def multi_posterior(

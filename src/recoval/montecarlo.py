@@ -10,6 +10,15 @@ bit-identical for a given (seed, sample count) regardless of how many
 worker threads run the blocks.  Worker parallelism is capped by the
 ``RECO_THREADS`` environment variable (0 or unset = auto; anything but
 a non-negative integer is a ``ModelError``).
+
+``estimate_single`` takes the buy probability, both posterior tables and
+the value from one pass; CLI ``simulate`` on one threshold makes that
+one call.  Its blocks draw ``rng.random((4, count))``: row 0 versions,
+row 1 senders, row 2 receivers, row 3 alternatives.  A Philox generator
+hands out doubles in stream order, so rows 0 and 1 are the numbers a
+one-report ``multi`` block draws with two ``rng.random(count)`` calls,
+and the fused estimates equal ``estimate_pi_buy``, ``estimate_posterior``
+and ``estimate_value`` bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from .core import (
     RecommendationSystem,
 )
 from .distributions import TypeDistribution
-from .errors import ModelError, UnsupportedConfigurationError, require_finite
+from .errors import ModelError, UnsupportedConfigurationError, require_integers
 from .extensions import MultiRecCount, ThresholdPair
 from .receiver import effects
 
@@ -35,6 +44,10 @@ BLOCK_SIZE = 1 << 16
 # Most reports a ``multi`` estimate simulates per sample: its cost is
 # reports x samples quantile draws.
 MAX_REPORTS = 1000
+
+# Most samples one estimate draws: 2^20 blocks.  The block plan is built
+# before any block runs, so an unbounded count would exhaust memory.
+MAX_SAMPLES = 1 << 36
 
 _W1 = np.array([1.0, 1.0, 0.0, 0.0])
 _W2 = np.array([1.0, 0.0, 1.0, 0.0])
@@ -55,9 +68,11 @@ class SimulationConfig:
     dont_buys: int | None = None
 
     def __post_init__(self):
-        require_finite("samples and seed", self.samples, self.seed)
+        require_integers("samples and seed", self.samples, self.seed)
         if self.samples < 1000:
             raise ModelError("need at least 1000 samples")
+        if self.samples > MAX_SAMPLES:
+            raise ModelError(f"simulation takes at most {MAX_SAMPLES} samples")
         if self.mode not in {"single", "two_threshold", "multi", "infinite"}:
             raise ModelError(f"unknown simulation mode {self.mode!r}")
         if self.mode == "multi":
@@ -92,6 +107,17 @@ class MultiEstimate:
 
     value: EstimateWithError
     posterior: tuple[EstimateWithError, ...]
+
+
+@dataclass(frozen=True)
+class SingleEstimate:
+    """Buy probability, posterior tables after a buy and after a dont-buy
+    report, and system value of one single-threshold system."""
+
+    pi_buy: EstimateWithError
+    buy_posterior: tuple[EstimateWithError, ...]
+    dont_posterior: tuple[EstimateWithError, ...]
+    value: EstimateWithError
 
 
 def _worker_count(raw: str | None, blocks: int) -> int:
@@ -159,8 +185,14 @@ def _table(tallies, kept: float, seed: int) -> tuple[EstimateWithError, ...]:
 
 
 def _sample_versions(quality: QualityDistribution, u: np.ndarray) -> np.ndarray:
+    """Version index of each uniform draw: the number of the first three
+    cumulative quality masses at or below it.  The cuts never decrease, so
+    this is ``min(searchsorted(cuts, u, "right"), 3)`` without the search."""
     cuts = np.cumsum(quality.as_tuple())
-    return np.minimum(np.searchsorted(cuts, u, side="right"), 3)
+    versions = (u >= cuts[0]).astype(np.intp)
+    versions += u >= cuts[1]
+    versions += u >= cuts[2]
+    return versions
 
 
 def _payoffs(versions: np.ndarray, types: np.ndarray) -> np.ndarray:
@@ -199,13 +231,15 @@ def estimate_pi_buy(
     return estimate_multi(system, one_buy).value
 
 
-def estimate_value(
+def estimate_single(
     system: RecommendationSystem, config: SimulationConfig
-) -> EstimateWithError:
-    """Empirical system value from simulated sender-receiver pairs.
+) -> SingleEstimate:
+    """Every single-report estimate of ``system`` from one pass.
 
     Each pair draws a recommended product, a sender, a receiver and an
-    independent alternative product.  The receiver follows his optimal
+    independent alternative product (rows 0-3 of the block's uniforms).
+    The buy reports give the buy probability and, with the version
+    tallies, both posterior tables.  The receiver follows his optimal
     accept/reject rule; the paired baseline buys the alternative, so the
     per-pair payoff difference is an unbiased draw of the value.
     """
@@ -216,15 +250,34 @@ def estimate_value(
     def block(rng, count):
         u = rng.random((4, count))
         versions = _sample_versions(quality, u[0])
-        senders = sender_dist.quantile(u[1])
+        rec_buy = _payoffs(versions, sender_dist.quantile(u[1])) >= threshold
         receivers = receiver_dist.quantile(u[2])
         alternatives = _sample_versions(quality, u[3])
-        rec_buy = _payoffs(versions, senders) >= threshold
         accept = eff.objective >= receivers * eff.subjective
         gain = _gain(accept == rec_buy, versions, alternatives, receivers)
-        return _moments(gain, count)
+        # column 1 tallies the versions of buy reports, column 0 of dont-buys
+        tallies = np.bincount(2 * versions + rec_buy, minlength=8).reshape(4, 2)
+        return _moments(rec_buy, count), tallies.astype(float), _moments(gain, count)
 
-    return _mean_estimate(_run_blocks(config.seed, config.samples, block), config.seed)
+    parts = _run_blocks(config.seed, config.samples, block)
+    seed = config.seed
+    pi_buy = _mean_estimate([p[0] for p in parts], seed)
+    buys = sum(p[0][0] for p in parts)
+    tallies = sum(p[1] for p in parts)
+    return SingleEstimate(
+        pi_buy=pi_buy,
+        buy_posterior=_table(tallies[:, 1], buys, seed),
+        dont_posterior=_table(tallies[:, 0], config.samples - buys, seed),
+        value=_mean_estimate([p[2] for p in parts], seed),
+    )
+
+
+def estimate_value(
+    system: RecommendationSystem, config: SimulationConfig
+) -> EstimateWithError:
+    """Empirical system value from simulated sender-receiver pairs (see
+    ``estimate_single``)."""
+    return estimate_single(system, config).value
 
 
 def estimate_two_threshold(

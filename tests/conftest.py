@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 import recoval as rv
 
@@ -53,6 +54,44 @@ def random_system(rng, symmetric: bool = False) -> rv.RecommendationSystem:
         sender_types=random_distribution(rng, symmetric=symmetric),
         threshold=float(rng.uniform(0.02, 0.98)),
     )
+
+
+# Hypothesis strategies over the four type families.
+
+@st.composite
+def tabulated_types(draw):
+    """Tabulated CDFs with 2-12 knots, about 0.01 apart (at least 0.002) in i and F."""
+    n = draw(st.integers(0, 10))
+    xs = draw(st.lists(st.integers(1, 99), min_size=n, max_size=n, unique=True))
+    fs = draw(st.lists(st.integers(1, 99), min_size=n, max_size=n, unique=True))
+    jitter = st.floats(-0.004, 0.004)
+    inner = [
+        (x / 100 - 0.5 + draw(jitter), f / 100 + draw(jitter))
+        for x, f in zip(sorted(xs), sorted(fs))
+    ]
+    return rv.TabulatedTypes(points=((-0.5, 0.0), *inner, (0.5, 1.0)))
+
+
+piecewise_types = st.builds(
+    rv.PiecewiseSymmetricTypes,
+    st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.5),
+    st.floats(0.51, 0.99),
+)
+
+
+any_types = (
+    st.just(rv.UniformTypes())
+    | st.builds(rv.PowerTypes, st.floats(0.1, 8.0))
+    | piecewise_types
+    | tabulated_types()
+)
+
+# Quality vectors, often with zero-mass versions.
+probability_vectors = (
+    st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=4, max_size=4)
+    .filter(lambda p: sum(p) > 0.0)
+    .map(lambda p: [x / sum(p) for x in p])
+)
 
 
 # Regression scenarios exercised by the Monte Carlo concordance check.

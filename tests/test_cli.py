@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 import recoval as rv
 from recoval.cli import ScenarioError, main, parse_scenario
+
+from conftest import probability_vectors
 
 S1_DOC = json.dumps(
     {
@@ -288,6 +291,23 @@ class TestSimulate:
             )
 
 
+    @pytest.mark.parametrize(
+        "flags",
+        [(), ("--R1", "0.4", "--R2", "0.8"), ("--b", "2", "--d", "1"), ("--infinite",)],
+        ids=["single", "pair", "counts", "infinite"],
+    )
+    def test_thread_count_does_not_change_the_output(self, capsys, s1_path, monkeypatch, flags):
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("RECO_THREADS", threads)
+            code, out, _ = run_cli(
+                capsys, "simulate", "--scenario", s1_path, "--samples", "70001", *flags
+            )
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+
 class TestDecompose:
     def test_record_matches_library(self, capsys, s1_path):
         code, out, _ = run_cli(capsys, "decompose", "--scenario", s1_path)
@@ -312,6 +332,15 @@ class TestMulti:
         assert record["recommendation"] == "neutral"
         assert record["p_1"] == pytest.approx(0.5, abs=1e-12)
         assert record["p_H"] == 0.0
+
+    def test_event_probability_beyond_float_range_binomials(self, capsys, s1_path):
+        # comb(1040, 520) exceeds float range; the weights 0.2 * 2**-1040 are subnormal
+        code, out, _ = run_cli(
+            capsys, "multi", "--scenario", s1_path, "--b", "520", "--d", "520"
+        )
+        assert code == 0
+        want = 0.4 * math.exp(math.lgamma(1041) - 2 * math.lgamma(521) - 1040 * math.log(2))
+        assert json.loads(out)["event_prob"] == pytest.approx(want, rel=1e-9)
 
     def test_infinite_record(self, capsys, tmp_path):
         doc = {
@@ -449,6 +478,33 @@ class TestErrors:
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "b, message",
+        [
+            ("2", "threshold: report counts must be integers, got '2'"),
+            (2.9, "threshold: report counts must be integers, got 2.9"),
+            (True, "threshold: report counts must be integers, got True"),
+            (10**400, "report counts: int too large to convert to float"),
+        ],
+        ids=["string", "fraction", "bool", "beyond_float_range"],
+    )
+    def test_bad_report_counts_are_error_lines(self, capsys, tmp_path, b, message):
+        doc = json.loads(S1_DOC)
+        doc["threshold"] = {"b": b, "d": 1, "R": 0.5}
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "multi", "--scenario", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+    def test_oversized_sample_count_is_an_error_line(self, capsys, s1_path):
+        cap = rv.montecarlo.MAX_SAMPLES
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", s1_path, "--samples", str(cap + 1)
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: simulation takes at most {cap} samples\n"
+
     @pytest.mark.parametrize("raw", ["two", "-1"])
     def test_bad_thread_count_is_an_error_line(self, capsys, s1_path, monkeypatch, raw):
         monkeypatch.setenv("RECO_THREADS", raw)
@@ -545,11 +601,6 @@ def test_any_type_spec_ends_in_output_or_an_error_line(
 
 # -- arbitrary qualities and thresholds ------------------------------------------
 
-probability_vectors = (
-    st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=4, max_size=4)
-    .filter(lambda p: sum(p) > 0.0)
-    .map(lambda p: [x / sum(p) for x in p])
-)
 odds = st.just(1.0) | st.floats(1e-3, 1e3) | numbers
 quality_specs = (
     json_values
@@ -576,7 +627,12 @@ valid_types = st.sampled_from([
 ])
 
 
-@given(quality=quality_specs, threshold=threshold_specs, sender=valid_types, argv=COMMANDS)
+@given(
+    quality=quality_specs,
+    threshold=threshold_specs,
+    sender=valid_types,
+    argv=COMMANDS | st.just(("multi",)),
+)
 @settings(max_examples=300, deadline=2000)
 def test_any_quality_and_threshold_end_in_output_or_an_error_line(
     tmp_path_factory, quality, threshold, sender, argv

@@ -9,7 +9,12 @@ import recoval as rv
 from recoval import _quadrature
 from recoval.errors import EmptyIntervalError, ModelError
 
-from conftest import random_symmetric_tabulated
+from conftest import (
+    any_types,
+    piecewise_types,
+    random_symmetric_tabulated,
+    tabulated_types,
+)
 
 ALL_FAMILIES = [
     rv.UniformTypes(),
@@ -198,25 +203,6 @@ def bisect_quantile(dist, u):
     return 0.5 * (lo + hi)
 
 
-@st.composite
-def tabulated_types(draw):
-    """Tabulated CDFs with 2-12 knots, about 0.01 apart (at least 0.002) in i and F."""
-    n = draw(st.integers(0, 10))
-    xs = draw(st.lists(st.integers(1, 99), min_size=n, max_size=n, unique=True))
-    fs = draw(st.lists(st.integers(1, 99), min_size=n, max_size=n, unique=True))
-    jitter = st.floats(-0.004, 0.004)
-    inner = [
-        (x / 100 - 0.5 + draw(jitter), f / 100 + draw(jitter))
-        for x, f in zip(sorted(xs), sorted(fs))
-    ]
-    return rv.TabulatedTypes(points=((-0.5, 0.0), *inner, (0.5, 1.0)))
-
-
-piecewise_types = st.builds(
-    rv.PiecewiseSymmetricTypes,
-    st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.5),
-    st.floats(0.51, 0.99),
-)
 probabilities = st.lists(
     st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=20
 )
@@ -315,12 +301,6 @@ def test_truncated_mean_adds_segments_left_to_right(dist, intervals):
 
 # -- the type-interval contract -------------------------------------------------
 
-any_types = (
-    st.just(rv.UniformTypes())
-    | st.builds(rv.PowerTypes, st.floats(0.1, 8.0))
-    | piecewise_types
-    | tabulated_types()
-)
 # quantile(1.0) used to round to 0.5000000000000002 in the top segment
 TOP_SEGMENT_OVERSHOOT = rv.TabulatedTypes(points=(
     (-0.5, 0.0), (-0.49, 0.01), (-0.48, 0.02), (-0.47, 0.03), (-0.46, 0.04),

@@ -5,12 +5,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import recoval as rv
 from recoval import cli, montecarlo
-from recoval.errors import ModelError
+from recoval.errors import ModelError, UnreachableRecommendationError
 
-from conftest import S1, S4_PAIR, S4_QUALITY, S5_QUALITY
+from conftest import S1, S4_PAIR, S4_QUALITY, S5_QUALITY, any_types, probability_vectors
 
 REC = rv.Recommendation
 UNIFORM = rv.UniformTypes()
@@ -128,6 +130,65 @@ def reference_pi_buy(system, config):
     return montecarlo._mean_estimate(parts, config.seed)
 
 
+def reference_value(system, config):
+    """The block function ``estimate_value`` ran before the single-report
+    estimates shared one pass."""
+    quality, threshold = system.quality, system.threshold
+    sender_dist, receiver_dist = system.sender_types, system.receiver_types
+    eff = rv.effects(system, REC.BUY)
+
+    def block(rng, count):
+        u = rng.random((4, count))
+        versions = montecarlo._sample_versions(quality, u[0])
+        senders = sender_dist.quantile(u[1])
+        receivers = receiver_dist.quantile(u[2])
+        alternatives = montecarlo._sample_versions(quality, u[3])
+        rec_buy = montecarlo._payoffs(versions, senders) >= threshold
+        accept = eff.objective >= receivers * eff.subjective
+        gain = montecarlo._gain(accept == rec_buy, versions, alternatives, receivers)
+        return montecarlo._moments(gain, count)
+
+    parts = montecarlo._run_blocks(config.seed, config.samples, block)
+    return montecarlo._mean_estimate(parts, config.seed)
+
+
+def bits(estimates):
+    """Estimates as text: equal exactly when every float has the same bits,
+    with nan (the table of a report nobody sent) equal to nan."""
+    return repr(estimates)
+
+
+qualities = probability_vectors.map(lambda p: rv.QualityDistribution(*p))
+
+
+def reference_versions(quality, u):
+    """The draw ``_sample_versions`` made with a binary search."""
+    cuts = np.cumsum(quality.as_tuple())
+    return np.minimum(np.searchsorted(cuts, u, side="right"), 3)
+
+
+class TestSampleVersions:
+    @given(qualities, st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_counting_cuts_equals_the_binary_search(self, quality, us):
+        cuts = np.cumsum(quality.as_tuple())
+        # draws exactly on each cut and on its neighbours
+        u = np.array([*us, *cuts, *np.nextafter(cuts, 0.0), *np.nextafter(cuts, 1.0)])
+        u = u[u < 1.0]
+        got = montecarlo._sample_versions(quality, u)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, reference_versions(quality, u))
+
+    def test_cuts_summing_below_one(self):
+        quality = rv.QualityDistribution(0.7, 0.1, 0.1, 0.1)
+        cuts = np.cumsum(quality.as_tuple())
+        assert cuts[3] == np.nextafter(1.0, 0.0)
+        u = np.array([cuts[3], cuts[2], np.nextafter(cuts[2], 0.0)])
+        got = montecarlo._sample_versions(quality, u)
+        assert got.tolist() == [3, 3, 2]
+        assert np.array_equal(got, reference_versions(quality, u))
+
+
 class TestSingleReport:
     @pytest.mark.parametrize(
         "dist",
@@ -145,7 +206,36 @@ class TestSingleReport:
         config = rv.SimulationConfig(samples=70_001, seed=5)
         assert rv.estimate_pi_buy(system, config) == reference_pi_buy(system, config)
 
-    def test_cli_simulate_makes_three_passes(self, monkeypatch, tmp_path):
+    @given(
+        quality=qualities,
+        senders=any_types,
+        receivers=st.none() | any_types,
+        threshold=st.floats(0.01, 0.99),
+        seed=st.integers(0, 2**64 - 1),
+        samples=st.integers(1000, 2 * montecarlo.BLOCK_SIZE + 1000)
+        | st.sampled_from([montecarlo.BLOCK_SIZE + 1, 70_001, 2 * montecarlo.BLOCK_SIZE - 1]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_one_pass_equals_the_separate_estimates(
+        self, quality, senders, receivers, threshold, seed, samples
+    ):
+        system = rv.RecommendationSystem(quality, senders, threshold, receivers)
+        config = rv.SimulationConfig(samples=samples, seed=seed)
+        try:
+            single = rv.estimate_single(system, config)
+        except UnreachableRecommendationError:
+            # no buy report can happen: the value needs the buy posterior
+            with pytest.raises(UnreachableRecommendationError):
+                reference_value(system, config)
+            return
+        assert single.pi_buy == rv.estimate_pi_buy(system, config)
+        assert bits(single.buy_posterior) == bits(rv.estimate_posterior(system, REC.BUY, config))
+        assert bits(single.dont_posterior) == bits(
+            rv.estimate_posterior(system, REC.DONT_BUY, config)
+        )
+        assert single.value == reference_value(system, config)
+
+    def test_cli_simulate_makes_one_pass(self, monkeypatch, tmp_path):
         passes = []
         run_blocks = montecarlo._run_blocks
 
@@ -164,7 +254,7 @@ class TestSingleReport:
         argv = ["simulate", "--scenario", str(scenario), "--samples", "2000",
                 "--out", str(tmp_path / "out.json")]
         assert cli.main(argv) == 0
-        assert passes == [2000, 2000, 2000]
+        assert passes == [2000]
 
 
 class TestEstimators:
@@ -264,6 +354,19 @@ class TestConfigValidation:
     def test_minimum_samples(self):
         with pytest.raises(ModelError):
             rv.SimulationConfig(samples=10, seed=0)
+
+    def test_samples_are_capped(self):
+        cap = montecarlo.MAX_SAMPLES
+        assert rv.SimulationConfig(samples=cap, seed=0).samples == cap
+        with pytest.raises(ModelError, match=f"at most {cap} samples"):
+            rv.SimulationConfig(samples=cap + 1, seed=0)
+
+    @pytest.mark.parametrize(
+        "samples, seed, bad", [(2000.0, 0, "2000.0"), (2000, 1.5, "1.5"), (2000, True, "True")]
+    )
+    def test_samples_and_seed_are_integers(self, samples, seed, bad):
+        with pytest.raises(ModelError, match=f"samples and seed must be integers, got {bad}"):
+            rv.SimulationConfig(samples=samples, seed=seed)
 
     def test_unknown_mode(self):
         with pytest.raises(ModelError):
