@@ -4,8 +4,9 @@ For symmetric populations the value is monotone in the threshold and
 the direction depends only on the good/bad odds.  For power-family
 populations with equally likely controversial versions, the value has a
 closed form whose coefficients decide between boundary and interior
-optima.  A grid search with golden-section refinement realizes the
-optimum numerically without relying on quasiconcavity.
+optima.  A grid search refined by shrinking grids over the bracket of
+its argmax realizes the optimum numerically without relying on
+quasiconcavity.
 """
 
 from __future__ import annotations
@@ -31,10 +32,13 @@ REGION_MAPS = ("interior", "panelA", "panelB", "panelC")
 _GRID_LO = 1e-4
 _GRID_HI = 1.0 - 1e-4
 _CONSTANT_TOL = 1e-9
-# golden-section tolerance in the threshold, and the distance from a grid
-# end within which an argmax counts as that edge (a monotone verdict)
+# final bracket width around the argmax, points per refinement round (the
+# bracket shrinks 16x), and the distance from a grid end within which an
+# argmax counts as that edge (a monotone verdict)
 _REFINE_TOL = 1e-8
+_REFINE_POINTS = 33
 _EDGE_MARGIN = 0.01
+_SIGN_SCAN = 33  # points scanned for a sign change before bisecting
 
 # Below this prevalence the boundary-direction classification is exact in
 # the limit and still accurate across a wide odds range; above it we
@@ -173,43 +177,18 @@ def _interior_band(a: float, prevalence: float) -> tuple[float, float] | None:
     return min(r1, r2), max(r1, r2)
 
 
-def _golden_section_max(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    inv_phi_sq = (3.0 - math.sqrt(5.0)) / 2.0
-    dist = hi - lo
-    if dist <= tol:
-        mid = 0.5 * (lo + hi)
-        return mid, fn(mid)
-    n = int(math.ceil(math.log(tol / dist) / math.log(inv_phi)))
-    c = lo + inv_phi_sq * dist
-    d = lo + inv_phi * dist
-    yc, yd = fn(c), fn(d)
-    for _ in range(n - 1):
-        if yc > yd:
-            hi, d, yd = d, c, yc
-            dist *= inv_phi
-            c = lo + inv_phi_sq * dist
-            yc = fn(c)
-        else:
-            lo, c, yc = c, d, yd
-            dist *= inv_phi
-            d = lo + inv_phi * dist
-            yd = fn(d)
-    x = 0.5 * (lo + d) if yc > yd else 0.5 * (c + hi)
-    return x, fn(x)
-
-
 def optimize_threshold(
     system: RecommendationSystem, grid_points: int = 2001
 ) -> DesignVerdict:
     """Maximize the system value over the threshold.
 
     A dense grid of ``grid_points`` thresholds on [1e-4, 1 - 1e-4] guards
-    against multimodality; golden section then refines around the grid
-    argmax to a fixed tolerance of 1e-8 in the threshold.  An argmax
-    within a fixed edge margin of 0.01 of either end of the grid is
-    reported as the matching monotone verdict instead of an interior
-    optimum.
+    against multimodality.  Each round brackets the argmax between its
+    grid neighbours and evaluates a grid of 33 points over the bracket,
+    until the bracket is at most 1e-8 wide; the optimum is its midpoint,
+    or the best grid point if that is higher.  An argmax within a fixed
+    edge margin of 0.01 of either end of the grid is reported as the
+    matching monotone verdict instead of an interior optimum.
     """
     if grid_points < 2:
         raise ModelError(f"need at least 2 grid points, got {grid_points}")
@@ -220,11 +199,16 @@ def optimize_threshold(
         note = f"grid range {spread:.2e} below tolerance"
         return DesignVerdict(CONSTANT, None, float(values[len(grid) // 2]), note)
     k = int(values.argmax())
-    lo = float(grid[max(k - 1, 0)])
-    hi = float(grid[min(k + 1, grid_points - 1)])
-    best_r, best_v = _golden_section_max(
-        lambda r: system_value(system.with_threshold(r)).value, lo, hi, _REFINE_TOL
-    )
+    note = f"grid argmax at {grid[k]:.6f} refined by bracket search"
+    while True:
+        lo, hi = float(grid[max(k - 1, 0)]), float(grid[min(k + 1, grid.size - 1)])
+        if hi - lo <= _REFINE_TOL:
+            break
+        grid = np.linspace(lo, hi, _REFINE_POINTS)
+        values = system_values(system, grid).value
+        k = int(values.argmax())
+    best_r = 0.5 * (lo + hi)
+    best_v = system_value(system.with_threshold(best_r)).value
     if best_v < values[k]:
         best_r, best_v = float(grid[k]), float(values[k])
     if best_r <= _GRID_LO + _EDGE_MARGIN:
@@ -232,7 +216,7 @@ def optimize_threshold(
     elif best_r >= _GRID_HI - _EDGE_MARGIN:
         kind, note = INCREASING, "argmax at the high edge of the grid"
     else:
-        kind, note = INTERIOR, f"grid argmax at {grid[k]:.6f} refined by golden section"
+        kind = INTERIOR
     return DesignVerdict(kind, best_r, best_v, note)
 
 
@@ -350,10 +334,10 @@ def region_map(
     return rows
 
 
-def _bisect_sign_change(fn, lo: float, hi: float, scan: int = 33) -> float | None:
-    grid = np.linspace(lo, hi, scan)
+def _bisect_sign_change(fn, lo: float, hi: float) -> float | None:
+    grid = np.linspace(lo, hi, _SIGN_SCAN)
     vals = [fn(float(b)) for b in grid]
-    for j in range(1, scan):
+    for j in range(1, _SIGN_SCAN):
         if vals[j - 1] == 0.0:
             return float(grid[j - 1])
         if vals[j - 1] * vals[j] < 0.0:

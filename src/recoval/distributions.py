@@ -22,7 +22,8 @@ clips i into [-1/2, 1/2], ``partial_expectation`` needs lo <= hi and
 clips both, ``quantile`` needs u in [0, 1] and stays in [-1/2, 1/2];
 each takes scalars or arrays (a scalar in, a Python float out).
 Families implement ``_cdf``, ``_quantile`` and ``_partial_expectation``
-on arguments already inside the interval.
+on arguments already inside the interval, and list the kinks of their
+CDF as ``breakpoints`` (none for the uniform and power families).
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ class TypeDistribution:
     """Common interface for the type-distribution families."""
 
     symmetric: bool = False
+    # the CDF's kinks inside the type interval, ascending
+    breakpoints = np.empty(0)
 
     def cdf(self, i):
         """F(i), with ``i`` clipped into the type interval."""
@@ -174,6 +177,7 @@ class _PiecewiseLinearTypes(TypeDistribution):
         object.__setattr__(self, "_f", np.array(fs, dtype=float))
         object.__setattr__(self, "_slope", np.array(df, dtype=float) / dx)
         object.__setattr__(self, "_segments", segments)
+        object.__setattr__(self, "breakpoints", self._x[1:-1])
 
     def _cdf(self, i):
         return np.interp(i, self._x, self._f)

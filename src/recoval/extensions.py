@@ -233,15 +233,14 @@ def two_threshold_partials(
     """Partials of the three-level value in the two willing shares.
 
     Returns (d_high_share, d_low_share): the derivative in the share
-    willing to recommend at the high threshold and at the low one.  The
-    pair argument is unused beyond validation because the value is
-    linear in both shares.
+    willing to recommend at the high threshold and at the low one.  They
+    do not depend on the pair, because the value is linear in both
+    shares; ``ThresholdPair`` validates itself when it is built.
     """
     if not dist.symmetric:
         raise UnsupportedConfigurationError(
             "two-threshold partials require a symmetric population"
         )
-    _ = pair.buy_shares(dist)
     q = quality
     gain = (q.q_1 + q.q_2) * _controversial_gain_integral(quality, dist)
     d_low_share = gain

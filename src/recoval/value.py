@@ -154,8 +154,8 @@ def system_values(system: RecommendationSystem, thresholds) -> ValueBatch:
     the value is a sum of linear integrals against the receiver CDF.  The
     closed form uses truncated means; the integral route reduces the
     integrals by parts and does the CDF integral by adaptive Simpson
-    quadrature (tolerance 1e-10).  If the routes differ by more than 1e-9
-    at any threshold, the whole batch raises.
+    quadrature (tolerance 1e-10), split at the CDF's breakpoints.  If the
+    routes differ by more than 1e-9 at any threshold, the whole batch raises.
     """
     r = np.array(thresholds, dtype=float, ndmin=1)
     inside = (r >= MIN_THRESHOLD) & (r <= MAX_THRESHOLD)
@@ -190,7 +190,7 @@ def system_values(system: RecommendationSystem, thresholds) -> ValueBatch:
     accepting = np.where(accepts, closed, 0.0).sum(axis=0)
     rejecting = np.where(accepts, 0.0, closed).sum(axis=0)
     value = accepting + rejecting
-    tail = adaptive_simpson(dist.cdf, a, b)
+    tail = _cdf_integral(dist, a, b)
     parts = np.where(b > a, const * mass + slope * (b * f_b - a * f_a - tail), 0.0)
     integral = 0.0 + parts[0] + parts[1]
     agree = np.abs(value - integral) <= _AGREEMENT_TOL
@@ -203,6 +203,22 @@ def system_values(system: RecommendationSystem, thresholds) -> ValueBatch:
     return ValueBatch(
         value, integral, pi_buy, effects, region, cutoff, accepting, rejecting
     )
+
+
+def _cdf_integral(dist: TypeDistribution, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Integral of ``dist.cdf`` over every piece [a_k, b_k] by adaptive Simpson,
+    each piece split at the CDF's breakpoints inside it and its parts summed
+    left to right: Simpson's error estimate can miss a kink, and on a linear
+    stretch it is exact."""
+    knots = dist.breakpoints
+    if not knots.size:
+        return adaptive_simpson(dist.cdf, a, b)
+    lo, hi = a[..., None], b[..., None]
+    inner = np.broadcast_to(knots, a.shape + knots.shape)
+    # knots outside a piece clip to its ends, and empty parts integrate to 0
+    edges = np.minimum(np.maximum(np.concatenate((lo, inner, hi), axis=-1), lo), hi)
+    parts = adaptive_simpson(dist.cdf, edges[..., :-1], edges[..., 1:])
+    return np.cumsum(parts, axis=-1)[..., -1]
 
 
 def _linear_pieces(system):
@@ -243,12 +259,13 @@ def integral_system_value(system: RecommendationSystem) -> float:
     """
     pieces, *_ = _linear_pieces(system)
     dist = system.receiver_types
+    ends = np.array([piece[:2] for piece in pieces]).T
+    tails = _cdf_integral(dist, *ends).tolist()
     total = 0.0
-    for a, b, const, slope, _label in pieces:
+    for (a, b, const, slope, _label), tail in zip(pieces, tails):
         if b <= a:
             continue
         f_a, f_b = dist.cdf(a), dist.cdf(b)
-        tail = float(adaptive_simpson(dist.cdf, a, b))
         total += const * (f_b - f_a) + slope * (b * f_b - a * f_a - tail)
     return total
 

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 import recoval as rv
+from recoval import design
 from recoval.design import _objective_effect_symmetric
 from recoval.errors import ClosedFormInapplicableError
 
 from conftest import random_symmetric_tabulated
+
+
+# (shape exponent, prevalence, good odds) with an interior optimum where
+# every type accepts
+INTERIOR_POWER = [(2.5, 0.2, 1.3), (3.0, 0.25, 0.8), (1.7, 0.3, 1.2)]
 
 
 class TestSymmetricSlope:
@@ -147,6 +153,60 @@ class TestOptimizeThreshold:
         system = rv.symmetric_system(0.2, 1.0, rv.UniformTypes(), 0.5)
         verdict = rv.optimize_threshold(system, grid_points=301)
         assert verdict.kind == "constant_in_R"
+
+    @pytest.mark.parametrize("a, prevalence, sigma", INTERIOR_POWER)
+    def test_power_optimum_is_the_closed_form_root(self, a, prevalence, sigma):
+        # V'(R) = 0 where c1 R^(a-1) = -c2 (1-R)^(a-1), if all types accept
+        system = rv.symmetric_system(prevalence, sigma, rv.PowerTypes(a), 0.5)
+        verdict = rv.optimize_threshold(system)
+        coef = rv.closed_form_coefficients(a, prevalence, sigma)
+        odds = (-coef.c2 / coef.c1) ** (1.0 / (a - 1.0))
+        r_star = verdict.optimum_threshold
+        assert verdict.kind == "interior_optimum"
+        assert rv.acceptance_region(system.with_threshold(r_star)).kind == "all"
+        assert r_star == pytest.approx(odds / (1.0 + odds), abs=1e-7)
+
+    def test_interior_value_is_the_scalar_value_at_the_optimum(self):
+        rng = np.random.default_rng(5)
+        systems = [
+            rv.symmetric_system(q, s, rv.PowerTypes(a), 0.5) for a, q, s in INTERIOR_POWER
+        ]
+        xs = np.linspace(-0.5, 0.5, 6)
+        for e in (0.7, 1.6, 2.4):
+            table = rv.TabulatedTypes(tuple(zip(xs, (xs + 0.5) ** e)))
+            for _ in range(4):
+                quality = rv.QualityDistribution(*rng.dirichlet([0.8] * 4))
+                systems.append(rv.RecommendationSystem(quality, table, 0.5))
+        interior = 0
+        for system in systems:
+            verdict = rv.optimize_threshold(system)
+            if verdict.kind != "interior_optimum":
+                continue
+            interior += 1
+            at_optimum = system.with_threshold(verdict.optimum_threshold)
+            assert verdict.optimum_value == rv.system_value(at_optimum).value
+        assert interior >= 6
+
+    def test_refinement_rounds_are_batches_of_33(self, monkeypatch):
+        sizes, scalar = [], []
+        batch, one = design.system_values, design.system_value
+
+        def counting_batch(system, thresholds):
+            sizes.append(len(thresholds))
+            return batch(system, thresholds)
+
+        def counting_one(system):
+            scalar.append(system.threshold)
+            return one(system)
+
+        monkeypatch.setattr(design, "system_values", counting_batch)
+        monkeypatch.setattr(design, "system_value", counting_one)
+        system = rv.symmetric_system(0.2, 1.3, rv.PowerTypes(2.5), 0.5)
+        verdict = rv.optimize_threshold(system)
+        assert verdict.kind == "interior_optimum"
+        assert sizes[0] == 2001
+        assert 1 <= len(sizes) - 1 <= 6 and set(sizes[1:]) == {33}
+        assert len(scalar) == 1
 
     def test_rejects_fewer_than_two_grid_points(self):
         system = rv.symmetric_system(0.2, 2.0, rv.UniformTypes(), 0.5)

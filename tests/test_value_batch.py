@@ -3,10 +3,14 @@
 The ``ref_*`` functions below restate, in scalar Python, the
 per-threshold implementation the batched core replaced and serve as the
 reference: scalar CDFs, per-segment truncated means of the
-piecewise-linear CDFs, recursive adaptive Simpson, posterior, effects,
-acceptance region, and the two value routes.
+piecewise-linear CDFs, recursive adaptive Simpson (on each part of a
+piece between the CDF's knots), posterior, effects, acceptance region,
+and the two value routes.
 """
 
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
@@ -16,6 +20,7 @@ from hypothesis import strategies as st
 
 import recoval as rv
 from recoval import _quadrature
+from recoval.cli import main
 from recoval.core import posterior_probs, version_buy_probabilities
 from recoval.errors import ModelError
 
@@ -62,6 +67,25 @@ def _ref_step(f, a, b, fa, fm, fb, whole, tol, depth):
     return _ref_step(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + _ref_step(
         f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1
     )
+
+
+def ref_knots(dist):
+    """Interior knots of a piecewise-linear CDF, none for the others."""
+    if isinstance(dist, rv.PiecewiseSymmetricTypes):
+        return [0.5 - dist.r_ref, dist.r_ref - 0.5]
+    if isinstance(dist, rv.TabulatedTypes):
+        return [p[0] for p in dist.points[1:-1]]
+    return []
+
+
+def ref_cdf_integral(dist, a, b):
+    """Simpson on each part of [a, b] between the knots inside it, summed
+    left to right."""
+    edges = [a, *(x for x in ref_knots(dist) if a < x < b), b]
+    total = 0.0
+    for lo, hi in zip(edges, edges[1:]):
+        total += ref_simpson(lambda i: ref_cdf(dist, i), lo, hi)
+    return total
 
 
 def ref_partial_expectation(dist, lo, hi):
@@ -145,7 +169,7 @@ def ref_value(system):
             continue
         f_a, f_b = ref_cdf(dist, a), ref_cdf(dist, b)
         value += const * (f_b - f_a) + slope * ref_partial_expectation(dist, a, b)
-        tail = ref_simpson(lambda i: ref_cdf(dist, i), a, b)
+        tail = ref_cdf_integral(dist, a, b)
         integral += const * (f_b - f_a) + slope * (b * f_b - a * f_a - tail)
     return value, pi_buy, kind, c, integral
 
@@ -406,3 +430,72 @@ def test_distributions_accept_arrays_and_return_floats_for_scalars(dist):
         assert pe[k] == pytest.approx(
             dist.partial_expectation(-0.5, float(np.clip(x, -0.5, 0.5))), abs=1e-12
         )
+
+
+# -- the closed-form vs integral gate on valid input ---------------------------------
+
+
+def test_kinks_of_a_fine_table_pass_the_gate():
+    # 101 even knots of F(i) = (i + 1/2)^1.5: adaptive Simpson over whole
+    # pieces once missed the kinks and failed most of these thresholds
+    xs = np.linspace(LO, HI, 101)
+    table = rv.TabulatedTypes(tuple(zip(xs, (xs + 0.5) ** 1.5)))
+    rng = np.random.default_rng(0)
+    grid = np.linspace(0.05, 0.95, 19)
+    for k in range(100):
+        quality = rv.QualityDistribution(*rng.dirichlet([0.7] * 4))
+        system = rv.RecommendationSystem(quality, rv.UniformTypes(), 0.5, table)
+        batch = rv.system_values(system, grid)
+        if k % 10 == 0:
+            for j, r in enumerate(grid):
+                one = rv.system_value(system.with_threshold(float(r)))
+                assert one == batch.report(j)
+
+
+@st.composite
+def gate_cases(draw):
+    """A valid system whose tabulated receivers sample a smooth CDF at
+    3-201 knots, evenly or randomly spaced, one of them next to the region
+    cutoff of each threshold."""
+    quality, sender = draw(qualities()), draw(exact_families | power_family)
+    thresholds = draw(grids)
+    n = draw(st.integers(3, 201))
+    if draw(st.booleans()):
+        xs = np.linspace(LO, HI, n)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        xs = rng.uniform(LO, HI, n - 2)
+    offsets = st.sampled_from([0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-7, -1e-7, 1e-5])
+    for r in thresholds:
+        cutoff = rv.acceptance_region(rv.RecommendationSystem(quality, sender, r)).cutoff
+        if cutoff is not None:
+            xs = np.append(xs, cutoff + draw(offsets))
+    xs = np.unique(np.append(np.clip(xs, LO + 1e-6, HI - 1e-6), (LO, HI)))
+    e, s_shaped = draw(st.floats(0.4, 3.0)), draw(st.booleans())
+    fs = (xs + 0.5) ** e
+    if s_shaped:
+        fs = fs / (fs + (0.5 - xs) ** e)
+    # F must rise strictly: of knots too close to tell apart keep the last
+    keep = np.diff(fs, append=2.0) > 0.0
+    xs, fs = xs[keep], fs[keep]
+    points = tuple(zip(xs.tolist(), fs.tolist()))
+    return rv.RecommendationSystem(quality, sender, 0.5, rv.TabulatedTypes(points)), thresholds
+
+
+@given(gate_cases())
+@settings(max_examples=150, deadline=None)
+def test_a_valid_system_passes_the_gate(tmp_path_factory, case):
+    system, thresholds = case
+    rv.system_values(system, thresholds)
+    doc = {
+        "quality": dict(zip(("qH", "q1", "q2", "qL"), system.quality.as_tuple())),
+        "sender_types": system.sender_types.spec(),
+        "receiver_types": system.receiver_types.spec(),
+        "threshold": thresholds[0],
+    }
+    path = tmp_path_factory.mktemp("gate") / "scenario.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["evaluate", "--scenario", str(path)]) == 0
+    assert "error:" not in err.getvalue()
