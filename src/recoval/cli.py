@@ -28,9 +28,9 @@ from .core import (
     RecommendationSystem,
     belief_decomposition,
     posterior,
-    recommendation_probabilities,
+    version_buy_probabilities,
 )
-from .design import REGION_MAPS, optimize_threshold, region_map
+from .design import MAX_GRID_POINTS, REGION_MAPS, optimize_threshold, region_map
 from .distributions import PowerTypes, TypeDistribution, distribution_from_spec
 from .errors import ModelError
 from .extensions import (
@@ -56,6 +56,7 @@ from .value import (
     symmetric_value,
     system_value,
     system_values,
+    value_core,
 )
 
 
@@ -308,12 +309,6 @@ def _sweep_controversial_odds(quality) -> float:
 
 
 def _sweep_rows(scenario: Scenario, param: str, grid) -> list[tuple]:
-    if param == "R":
-        batch = system_values(scenario.system(), grid)
-        return [
-            (float(x), float(v), float(p), REGION_KINDS[k])
-            for x, v, p, k in zip(grid, batch.value, batch.pi_buy, batch.region)
-        ]
     if param == "beta":
         if not scenario.sender_types.symmetric:
             raise ScenarioError("beta sweep requires a symmetric sender distribution")
@@ -322,19 +317,33 @@ def _sweep_rows(scenario: Scenario, param: str, grid) -> list[tuple]:
             (b, symmetric_value(q, s, b), symmetric_buy_probability(q, s, b), "all")
             for b in map(float, grid)
         ]
-    rows = []
-    for x in map(float, grid):
-        if param == "a":
-            variant = replace(scenario, sender_types=PowerTypes(x))
-        else:
-            lam = _sweep_controversial_odds(scenario.quality)
-            prevalence = x if param == "Q" else scenario.quality.prevalence
-            sigma = scenario.quality.good_odds if param == "Q" else x
-            quality = quality_from_params(prevalence, sigma, lam)
-            variant = replace(scenario, quality=quality)
-        report = system_value(variant.system())
-        rows.append((x, report.value, report.pi_buy, report.region.kind))
-    return rows
+    if param == "R":
+        batch = system_values(scenario.system(), grid)
+    else:
+        batch = _sweep_values(scenario, param, grid)
+    return [
+        (float(x), float(v), float(p), REGION_KINDS[k])
+        for x, v, p, k in zip(grid, batch.value, batch.pi_buy, batch.region)
+    ]
+
+
+def _sweep_values(scenario: Scenario, param: str, grid):
+    """One value-core call over a Q, sigma or a sweep at the scenario's
+    threshold and receivers; every point is validated, in grid order,
+    before any is evaluated."""
+    xs, quality, r = list(map(float, grid)), scenario.quality, scenario.threshold
+    # a row per point: the four prior masses, phi_1 and phi_2
+    if param == "a":
+        rows = [(*quality, *version_buy_probabilities(PowerTypes(x), r)) for x in xs]
+    else:
+        lam = _sweep_controversial_odds(quality)
+        held = quality.good_odds if param == "Q" else quality.prevalence
+        phis = version_buy_probabilities(scenario.sender_types, r)
+        pairs = [(x, held) if param == "Q" else (held, x) for x in xs]
+        rows = [(*quality_from_params(q, s, lam), *phis) for q, s in pairs]
+    receivers = scenario.system().receiver_types  # checks the threshold
+    table = np.array(rows).T
+    return value_core(table[:4], table[4], table[5], np.full(len(xs), r), receivers)
 
 
 def _cmd_sweep(scenario: Scenario, args):
@@ -358,6 +367,10 @@ def _steps(args, default: int) -> int:
         return default
     if args.steps < 1:
         raise ScenarioError(f"--steps must be at least 1, got {args.steps}")
+    if args.steps > MAX_GRID_POINTS:
+        raise ScenarioError(
+            f"--steps must be at most {MAX_GRID_POINTS}, got {args.steps}"
+        )
     return args.steps
 
 
@@ -377,15 +390,15 @@ def _cmd_region_map(scenario: Scenario, args):
 
 def _simulate_single(scenario: Scenario, config: SimulationConfig):
     system = scenario.system()
-    pi_buy, _ = recommendation_probabilities(system)
+    report = system_value(system)
     est = estimate_single(system, config)
-    rows = [("pi_buy", est.pi_buy, pi_buy)]
+    rows = [("pi_buy", est.pi_buy, report.pi_buy)]
     for rec, tag, table in (
         (Recommendation.BUY, "_buy", est.buy_posterior),
         (Recommendation.DONT_BUY, "_dont", est.dont_posterior),
     ):
         rows += _posterior_rows(tag, table, posterior(system, rec).probs)
-    rows.append(("value", est.value, system_value(system).value))
+    rows.append(("value", est.value, report.value))
     return rows
 
 

@@ -67,6 +67,9 @@ class QualityDistribution:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.q_h, self.q_1, self.q_2, self.q_l)
 
+    def __iter__(self):
+        return iter(self.as_tuple())
+
     @property
     def prevalence(self) -> float:
         """Share of controversial products, (q_1 + q_2) / 2."""
@@ -219,28 +222,27 @@ def version_buy_probabilities(dist: TypeDistribution, threshold):
 
 def recommendation_probabilities(system: RecommendationSystem) -> tuple[float, float]:
     """Unconditional probabilities of (buy, dont-buy) recommendations."""
-    q = system.quality
     phi_1, phi_2 = version_buy_probabilities(system.sender_types, system.threshold)
-    pi_buy = q.q_h + q.q_1 * phi_1 + q.q_2 * phi_2
+    _, pi_buy, _ = _posterior_weights(system.quality, phi_1, phi_2, Recommendation.BUY)
     return pi_buy, 1.0 - pi_buy
 
 
-def _posterior_weights(quality, phi_1, phi_2, rec: Recommendation):
-    """Name, probability and unnormalized posterior weights of ``rec``;
-    ``phi_1`` and ``phi_2`` may be floats or arrays."""
-    q = quality
-    pi_buy = q.q_h + q.q_1 * phi_1 + q.q_2 * phi_2
+def _posterior_weights(masses, phi_1, phi_2, rec: Recommendation):
+    """Name, probability and unnormalized posterior weights of ``rec``; the
+    four prior ``masses``, ``phi_1`` and ``phi_2`` may be floats or arrays."""
+    q_h, q_1, q_2, q_l = masses
+    pi_buy = q_h + q_1 * phi_1 + q_2 * phi_2
     if rec is Recommendation.BUY:
-        return "buy", pi_buy, (q.q_h, q.q_1 * phi_1, q.q_2 * phi_2, 0.0)
+        return "buy", pi_buy, (q_h, q_1 * phi_1, q_2 * phi_2, 0.0)
     if rec is Recommendation.DONT_BUY:
-        weights = (0.0, q.q_1 * (1.0 - phi_1), q.q_2 * (1.0 - phi_2), q.q_l)
+        weights = (0.0, q_1 * (1.0 - phi_1), q_2 * (1.0 - phi_2), q_l)
         return "dont-buy", 1.0 - pi_buy, weights
     raise ModelError(f"single-threshold systems emit buy/dont-buy, not {rec}")
 
 
-def posterior_probs(quality, phi_1, phi_2, rec: Recommendation) -> np.ndarray:
-    """Checked posteriors as a (4, n) array, one column per (phi_1, phi_2)."""
-    name, total, weights = _posterior_weights(quality, phi_1, phi_2, rec)
+def posterior_probs(masses, phi_1, phi_2, rec: Recommendation) -> np.ndarray:
+    """Checked posteriors as a (4, n) array, one column per point."""
+    name, total, weights = _posterior_weights(masses, phi_1, phi_2, rec)
     if (total <= 0.0).any():
         raise UnreachableRecommendationError(
             f"{name} recommendation has zero probability"

@@ -39,6 +39,9 @@ _REFINE_TOL = 1e-8
 _REFINE_POINTS = 33
 _EDGE_MARGIN = 0.01
 _SIGN_SCAN = 33  # points scanned for a sign change before bisecting
+# largest grid (optimize_threshold, region_map, CLI --steps); a value batch
+# this size with a 31-knot tabulated receiver takes about 1.5 s and 415 MB
+MAX_GRID_POINTS = 100_001
 
 # Below this prevalence the boundary-direction classification is exact in
 # the limit and still accurate across a wide odds range; above it we
@@ -183,15 +186,19 @@ def optimize_threshold(
     """Maximize the system value over the threshold.
 
     A dense grid of ``grid_points`` thresholds on [1e-4, 1 - 1e-4] guards
-    against multimodality.  Each round brackets the argmax between its
-    grid neighbours and evaluates a grid of 33 points over the bracket,
-    until the bracket is at most 1e-8 wide; the optimum is its midpoint,
-    or the best grid point if that is higher.  An argmax within a fixed
-    edge margin of 0.01 of either end of the grid is reported as the
-    matching monotone verdict instead of an interior optimum.
+    against multimodality.  An argmax at an end of a grid no coarser than
+    the edge margin of 0.01 is that end.  Otherwise rounds of 33 points
+    over the bracket of the argmax shrink it to at most 1e-8; the optimum
+    is its midpoint, or the grid end the argmax stayed at if that is
+    higher.  An optimum within the edge margin of either end is reported
+    as the matching monotone verdict instead of an interior optimum.
     """
     if grid_points < 2:
         raise ModelError(f"need at least 2 grid points, got {grid_points}")
+    if grid_points > MAX_GRID_POINTS:
+        raise ModelError(
+            f"need at most {MAX_GRID_POINTS} grid points, got {grid_points}"
+        )
     grid = np.linspace(_GRID_LO, _GRID_HI, grid_points)
     values = system_values(system, grid).value
     spread = values.max() - values.min()
@@ -200,17 +207,20 @@ def optimize_threshold(
         return DesignVerdict(CONSTANT, None, float(values[len(grid) // 2]), note)
     k = int(values.argmax())
     note = f"grid argmax at {grid[k]:.6f} refined by bracket search"
-    while True:
-        lo, hi = float(grid[max(k - 1, 0)]), float(grid[min(k + 1, grid.size - 1)])
-        if hi - lo <= _REFINE_TOL:
-            break
-        grid = np.linspace(lo, hi, _REFINE_POINTS)
-        values = system_values(system, grid).value
-        k = int(values.argmax())
-    best_r = 0.5 * (lo + hi)
-    best_v = system_value(system.with_threshold(best_r)).value
-    if best_v < values[k]:
+    if k in (0, grid.size - 1) and grid[1] - grid[0] <= _EDGE_MARGIN:
         best_r, best_v = float(grid[k]), float(values[k])
+    else:
+        while True:
+            lo, hi = float(grid[max(k - 1, 0)]), float(grid[min(k + 1, grid.size - 1)])
+            if hi - lo <= _REFINE_TOL:
+                break
+            grid = np.linspace(lo, hi, _REFINE_POINTS)
+            values = system_values(system, grid).value
+            k = int(values.argmax())
+        best_r = 0.5 * (lo + hi)
+        best_v = system_value(system.with_threshold(best_r)).value
+        if grid[k] in (_GRID_LO, _GRID_HI) and best_v < values[k]:
+            best_r, best_v = float(grid[k]), float(values[k])
     if best_r <= _GRID_LO + _EDGE_MARGIN:
         kind, note = DECREASING, "argmax at the low edge of the grid"
     elif best_r >= _GRID_HI - _EDGE_MARGIN:
@@ -291,6 +301,8 @@ def region_map(
     """
     if kind not in REGION_MAPS:
         raise ModelError(f"unknown region map kind {kind!r}")
+    if steps > MAX_GRID_POINTS:
+        raise ModelError(f"need at most {MAX_GRID_POINTS} grid points, got {steps}")
     if x_from is None or x_to is None:
         x_from, x_to = (0.05, 10.0)
     xs = np.linspace(x_from, x_to, steps)

@@ -23,6 +23,7 @@ from .core import (
     Recommendation,
     RecommendationSystem,
     _normalized,
+    _posterior_weights,
     version_buy_probabilities,
 )
 from .design import CONSTANT, DECREASING, INCREASING, optimize_threshold
@@ -143,12 +144,10 @@ def three_level_posterior(
 ) -> Posterior:
     """Posterior for one of the three recommendation levels."""
     q = quality
-    if rec is Recommendation.BUY:
-        phi_1, phi_2 = version_buy_probabilities(dist, pair.high)
-        weights = (q.q_h, q.q_1 * phi_1, q.q_2 * phi_2, 0.0)
-    elif rec is Recommendation.DONT_BUY:
-        phi_1, phi_2 = version_buy_probabilities(dist, pair.low)
-        weights = (0.0, q.q_1 * (1.0 - phi_1), q.q_2 * (1.0 - phi_2), q.q_l)
+    if rec in (Recommendation.BUY, Recommendation.DONT_BUY):
+        r = pair.high if rec is Recommendation.BUY else pair.low
+        phi_1, phi_2 = version_buy_probabilities(dist, r)
+        weights = _posterior_weights(quality, phi_1, phi_2, rec)[2]
     elif rec is Recommendation.NEUTRAL:
         gamma_1 = max(dist.cdf(pair.high - 0.5) - dist.cdf(pair.low - 0.5), 0.0)
         gamma_2 = max(dist.cdf(0.5 - pair.low) - dist.cdf(0.5 - pair.high), 0.0)

@@ -72,11 +72,11 @@ def expected_utility(i: float, belief: Posterior | Sequence[float]) -> float:
     return p_h + (0.5 + i) * p_1 + (0.5 - i) * p_2
 
 
-def effect_arrays(quality, probs):
-    """Objective and subjective effects of one posterior, or of each
-    column of a (4, n) posterior array."""
-    q = quality
-    d_h, d_1, d_2 = probs[0] - q.q_h, probs[1] - q.q_1, probs[2] - q.q_2
+def effect_arrays(masses, probs):
+    """Objective and subjective effects of posterior ``probs`` against the
+    prior ``masses``: one of each, or (4, n) arrays with a column per point."""
+    q_h, q_1, q_2, _ = masses
+    d_h, d_1, d_2 = probs[0] - q_h, probs[1] - q_1, probs[2] - q_2
     return d_h + 0.5 * d_1 + 0.5 * d_2, d_2 - d_1
 
 

@@ -1,13 +1,16 @@
 """Value of a recommendation system to a randomly drawn receiver.
 
 The value is the expected payoff gain from one random sender's
-recommendation relative to choosing on priors alone.  It is computed
-for an array of thresholds at once (:func:`system_values`) or for one
-(:func:`system_value`), each time two ways at every threshold: a
-case-based closed form driven by the acceptance region, and an
-independent integral of the per-type payoff gains against the receiver
-distribution (quadrature on the CDF).  The two routes must agree to
-1e-9 at every threshold or the call fails loudly.
+recommendation relative to choosing on priors alone.  One core,
+:func:`value_core`, computes it at an array of points, each with its own
+prior masses, version buy probabilities and threshold, against one
+receiver distribution: :func:`system_values` feeds it a threshold grid,
+and CLI ``sweep`` a grid of Q, sigma or sender exponents.  A scalar
+route, :func:`system_value`, does one threshold.  Both compute the value
+two ways at every point: a case-based closed form driven by the
+acceptance region, and an independent integral of the per-type payoff
+gains against the receiver distribution (quadrature on the CDF).  The
+two routes must agree to 1e-9 at every point or the call fails loudly.
 """
 
 from __future__ import annotations
@@ -112,7 +115,7 @@ def value_rejecting(system: RecommendationSystem, i: float) -> float:
 
 @dataclass(frozen=True)
 class ValueBatch:
-    """System values at an array of thresholds; :meth:`report` gives threshold k.
+    """System values at an array of points; :meth:`report` gives point k.
 
     ``effects`` stacks the buy objective and subjective effects and the
     dont-buy ones (NaN where no dont-buy recommendation occurs); ``region``
@@ -146,30 +149,43 @@ class ValueBatch:
 
 
 def system_values(system: RecommendationSystem, thresholds) -> ValueBatch:
-    """Closed-form system value at every threshold, each cross-checked.
-
-    Only the threshold of ``system`` varies.  The payoff gain of a type
-    is pi_buy (dO_B - i dS_B) where it accepts and pi_dont (dO_D - i dS_D)
-    where it rejects: linear in i on each side of the region cutoff, so
-    the value is a sum of linear integrals against the receiver CDF.  The
-    closed form uses truncated means; the integral route reduces the
-    integrals by parts and does the CDF integral by adaptive Simpson
-    quadrature (tolerance 1e-10), split at the CDF's breakpoints.  If the
-    routes differ by more than 1e-9 at any threshold, the whole batch raises.
-    """
+    """Closed-form system value at every threshold, each cross-checked;
+    only the threshold of ``system`` varies (see :func:`value_core`)."""
     r = np.array(thresholds, dtype=float, ndmin=1)
     inside = (r >= MIN_THRESHOLD) & (r <= MAX_THRESHOLD)
     if not inside.all():
         raise ModelError(
             f"threshold {r[~inside][0]} outside ({MIN_THRESHOLD}, {MAX_THRESHOLD})"
         )
-    q, n = system.quality, r.size
+    masses = np.broadcast_to(np.array(system.quality.as_tuple())[:, None], (4, r.size))
     phi_1, phi_2 = version_buy_probabilities(system.sender_types, r)
-    pi_buy = q.q_h + q.q_1 * phi_1 + q.q_2 * phi_2
+    return value_core(masses, phi_1, phi_2, r, system.receiver_types)
+
+
+def value_core(masses, phi_1, phi_2, thresholds, dist: TypeDistribution) -> ValueBatch:
+    """Closed-form system value at every point, each cross-checked.
+
+    Point k has prior masses ``masses[:, k]`` (a (4, n) array), version
+    buy probabilities ``phi_1[k]`` and ``phi_2[k]`` and threshold
+    ``thresholds[k]`` (arrays of n; the threshold is named in errors); all
+    points share the receiver distribution ``dist``.  The payoff gain of a
+    type is pi_buy (dO_B - i dS_B) where it accepts and pi_dont
+    (dO_D - i dS_D) where it rejects: linear in i on each side of the
+    region cutoff, so the value is a sum of linear integrals against the
+    receiver CDF.  The closed form uses truncated means; the integral route
+    reduces the integrals by parts and does the CDF integral by adaptive
+    Simpson quadrature (tolerance 1e-10), split at the CDF's breakpoints.
+    If the routes differ by more than 1e-9 at any point, the batch raises.
+    """
+    n = thresholds.size
+    q_h, q_1, q_2, _ = masses
+    pi_buy = q_h + q_1 * phi_1 + q_2 * phi_2
     pi_dont = 1.0 - pi_buy
     has_dont = pi_dont > 0.0
     effects = np.full((4, n), np.nan)
-    effects[:2] = effect_arrays(q, posterior_probs(q, phi_1, phi_2, Recommendation.BUY))
+    buy = posterior_probs(masses, phi_1, phi_2, Recommendation.BUY)
+    effects[:2] = effect_arrays(masses, buy)
+    q = masses[:, has_dont]
     dont = posterior_probs(q, phi_1[has_dont], phi_2[has_dont], Recommendation.DONT_BUY)
     effects[2:, has_dont] = effect_arrays(q, dont)
     o_b, s_b, o_d, s_d = effects
@@ -181,7 +197,6 @@ def system_values(system: RecommendationSystem, thresholds) -> ValueBatch:
     accepts = np.array((region != UPPER, region == UPPER))
     const = np.where(accepts, pi_buy * o_b, np.where(has_dont, pi_dont * o_d, 0.0))
     slope = np.where(accepts, -pi_buy * s_b, np.where(has_dont, -pi_dont * s_d, 0.0))
-    dist = system.receiver_types
     f_a, f_b = dist.cdf(a), dist.cdf(b)  # the CDF clips to the type interval
     c = np.minimum(np.maximum(c, LO), HI)
     truncated = dist.partial_expectation(np.array((lo, c)), np.array((c, hi)))
@@ -198,7 +213,7 @@ def system_values(system: RecommendationSystem, thresholds) -> ValueBatch:
         k = int(np.argmin(agree))
         raise ModelError(
             f"closed-form value {value[k]} disagrees with integral {integral[k]}"
-            f" at threshold {r[k]}"
+            f" at threshold {thresholds[k]}"
         )
     return ValueBatch(
         value, integral, pi_buy, effects, region, cutoff, accepting, rejecting
@@ -222,7 +237,7 @@ def _cdf_integral(dist: TypeDistribution, a: np.ndarray, b: np.ndarray) -> np.nd
 
 
 def _linear_pieces(system):
-    """Per-piece linear integrands (a, b, const, slope, label) of the type gain.
+    """Non-empty linear integrands (a, b, const, slope, label) of the type gain.
 
     The scalar counterpart of the pieces :func:`system_values` builds,
     assembled from the public scalar API.
@@ -231,24 +246,15 @@ def _linear_pieces(system):
     eff_b = effects(system, Recommendation.BUY)
     eff_d = effects(system, Recommendation.DONT_BUY) if pi_dont > 0.0 else None
     region = acceptance_region(system)
-    accept_piece = (pi_buy * eff_b.objective, -pi_buy * eff_b.subjective)
-    if eff_d is None:
-        reject_piece = (0.0, 0.0)
-    else:
-        reject_piece = (pi_dont * eff_d.objective, -pi_dont * eff_d.subjective)
-    if region.kind == "all":
-        pieces = [(LO, HI, *accept_piece, "accept")]
-    elif region.kind == "upper":
-        pieces = [
-            (LO, region.cutoff, *reject_piece, "reject"),
-            (region.cutoff, HI, *accept_piece, "accept"),
-        ]
-    else:
-        pieces = [
-            (LO, region.cutoff, *accept_piece, "accept"),
-            (region.cutoff, HI, *reject_piece, "reject"),
-        ]
-    return pieces, pi_buy, eff_b, eff_d, region
+    accept = (pi_buy * eff_b.objective, -pi_buy * eff_b.subjective, "accept")
+    reject = (0.0, 0.0, "reject")
+    if eff_d is not None:
+        reject = (pi_dont * eff_d.objective, -pi_dont * eff_d.subjective, "reject")
+    # [LO, c] and [c, HI], dropped where empty (the second where all accept)
+    c = HI if region.kind == "all" else region.cutoff
+    first, second = (reject, accept) if region.kind == "upper" else (accept, reject)
+    pieces = [(LO, c, *first), (c, HI, *second)]
+    return [p for p in pieces if p[1] > p[0]], pi_buy, eff_b, eff_d, region
 
 
 def integral_system_value(system: RecommendationSystem) -> float:
@@ -263,8 +269,6 @@ def integral_system_value(system: RecommendationSystem) -> float:
     tails = _cdf_integral(dist, *ends).tolist()
     total = 0.0
     for (a, b, const, slope, _label), tail in zip(pieces, tails):
-        if b <= a:
-            continue
         f_a, f_b = dist.cdf(a), dist.cdf(b)
         total += const * (f_b - f_a) + slope * (b * f_b - a * f_a - tail)
     return total
@@ -275,17 +279,11 @@ def system_value(system: RecommendationSystem) -> ValueReport:
     :func:`integral_system_value`; :func:`system_values` does many at once."""
     pieces, pi_buy, eff_b, eff_d, region = _linear_pieces(system)
     dist = system.receiver_types
-    accepting = 0.0
-    rejecting = 0.0
+    parts = {"accept": 0.0, "reject": 0.0}
     for a, b, const, slope, label in pieces:
-        if b <= a:
-            continue
         mass = dist.cdf(b) - dist.cdf(a)
-        part = const * mass + slope * dist.partial_expectation(a, b)
-        if label == "accept":
-            accepting += part
-        else:
-            rejecting += part
+        parts[label] += const * mass + slope * dist.partial_expectation(a, b)
+    accepting, rejecting = parts["accept"], parts["reject"]
     value = accepting + rejecting
     check = integral_system_value(system)
     if abs(value - check) > _AGREEMENT_TOL:

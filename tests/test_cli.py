@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recoval as rv
+from recoval import cli, value
 from recoval.cli import ScenarioError, main, parse_scenario
 
 from conftest import probability_vectors
@@ -210,6 +211,24 @@ class TestSweep:
         assert len(rows) == 6
         assert all(r["region"] == "all" for r in rows)
 
+    @pytest.mark.parametrize("param", ["R", "Q", "sigma", "a"])
+    def test_a_sweep_is_one_value_core_call(self, capsys, monkeypatch, s1_path, param):
+        sizes, scalar = [], []
+        core = value.value_core
+
+        def counting_core(masses, phi_1, phi_2, thresholds, dist):
+            sizes.append(thresholds.size)
+            return core(masses, phi_1, phi_2, thresholds, dist)
+
+        for module in (value, cli):
+            monkeypatch.setattr(module, "value_core", counting_core)
+            monkeypatch.setattr(module, "system_value", scalar.append)
+        argv = ("--param", param, "--from", "0.2", "--to", "0.4", "--steps", "7")
+        code, out, err = run_cli(capsys, "sweep", "--scenario", s1_path, *argv)
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)) == 7
+        assert sizes == [7] and scalar == []
+
 
 class TestOptimize:
     def test_interior_verdict(self, capsys, tmp_path):
@@ -400,6 +419,10 @@ class TestErrors:
             ("optimize", "--steps", "0"),
             ("sweep", "--param", "R", "--steps", "-1"),
             ("region-map", "--figure", "panelB", "--steps", "-1"),
+            ("optimize", "--steps", "1000000000000"),
+            ("sweep", "--param", "R", "--steps", "1000000000000"),
+            ("sweep", "--param", "Q", "--steps", "100002"),
+            ("region-map", "--figure", "panelB", "--steps", "1000000000000"),
         ],
     )
     def test_bad_grid_sizes_are_error_lines(self, capsys, s1_path, argv):
@@ -627,11 +650,23 @@ valid_types = st.sampled_from([
 ])
 
 
+sweep_ends = st.floats(-1.0, 11.0) | st.sampled_from([0.0, 0.5, math.nan, math.inf])
+SWEEPS = st.builds(
+    lambda param, lo, hi, steps: (
+        "sweep", "--param", param, f"--from={lo}", f"--to={hi}", "--steps", str(steps)
+    ),
+    st.sampled_from(["Q", "sigma", "a"]),
+    sweep_ends,
+    sweep_ends,
+    st.integers(-1, 12) | st.just(10**12),
+)
+
+
 @given(
     quality=quality_specs,
     threshold=threshold_specs,
     sender=valid_types,
-    argv=COMMANDS | st.just(("multi",)),
+    argv=COMMANDS | st.just(("multi",)) | SWEEPS,
 )
 @settings(max_examples=300, deadline=2000)
 def test_any_quality_and_threshold_end_in_output_or_an_error_line(

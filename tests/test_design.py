@@ -135,6 +135,25 @@ class TestInteriorRegionMap:
             assert rv.interior_conditions(a, 0.05, outside) == expected
 
 
+def count_value_calls(monkeypatch):
+    """Lists that record the size of every ``system_values`` call and the
+    threshold of every ``system_value`` call the optimizer makes."""
+    sizes, scalar = [], []
+    batch, one = design.system_values, design.system_value
+
+    def counting_batch(system, thresholds):
+        sizes.append(len(thresholds))
+        return batch(system, thresholds)
+
+    def counting_one(system):
+        scalar.append(system.threshold)
+        return one(system)
+
+    monkeypatch.setattr(design, "system_values", counting_batch)
+    monkeypatch.setattr(design, "system_value", counting_one)
+    return sizes, scalar
+
+
 class TestOptimizeThreshold:
     def test_interior_power_family(self):
         system = rv.symmetric_system(0.2, 1.0, rv.PowerTypes(2.0), 0.5)
@@ -177,6 +196,12 @@ class TestOptimizeThreshold:
             for _ in range(4):
                 quality = rv.QualityDistribution(*rng.dirichlet([0.8] * 4))
                 systems.append(rv.RecommendationSystem(quality, table, 0.5))
+        # the last round's best grid point once beat the midpoint by an ulp
+        quality = rv.quality_from_params(
+            0.4154763050829556, 0.5132979987741987, 2.5544681506876814
+        )
+        senders, receivers = rv.PowerTypes(2.792923723969831), rv.PowerTypes(1.836351729881836)
+        systems.append(rv.RecommendationSystem(quality, senders, 0.5, receivers))
         interior = 0
         for system in systems:
             verdict = rv.optimize_threshold(system)
@@ -188,25 +213,40 @@ class TestOptimizeThreshold:
         assert interior >= 6
 
     def test_refinement_rounds_are_batches_of_33(self, monkeypatch):
-        sizes, scalar = [], []
-        batch, one = design.system_values, design.system_value
-
-        def counting_batch(system, thresholds):
-            sizes.append(len(thresholds))
-            return batch(system, thresholds)
-
-        def counting_one(system):
-            scalar.append(system.threshold)
-            return one(system)
-
-        monkeypatch.setattr(design, "system_values", counting_batch)
-        monkeypatch.setattr(design, "system_value", counting_one)
+        sizes, scalar = count_value_calls(monkeypatch)
         system = rv.symmetric_system(0.2, 1.3, rv.PowerTypes(2.5), 0.5)
         verdict = rv.optimize_threshold(system)
         assert verdict.kind == "interior_optimum"
         assert sizes[0] == 2001
         assert 1 <= len(sizes) - 1 <= 6 and set(sizes[1:]) == {33}
         assert len(scalar) == 1
+
+    @pytest.mark.parametrize(
+        "sigma, points, end",
+        [(2.0, 2001, 1.0 - 1e-4), (0.5, 2001, 1e-4), (2.0, 101, 1.0 - 1e-4),
+         (2.0, 41, 1.0 - 1e-4), (0.5, 21, 1e-4)],
+    )
+    def test_an_edge_argmax_is_refined_only_on_a_coarse_grid(
+        self, monkeypatch, sigma, points, end
+    ):
+        sizes, scalar = count_value_calls(monkeypatch)
+        system = rv.symmetric_system(0.2, sigma, rv.UniformTypes(), 0.5)
+        verdict = rv.optimize_threshold(system, grid_points=points)
+        kind = "increasing_in_R" if sigma > 1.0 else "decreasing_in_R"
+        assert (verdict.kind, verdict.optimum_threshold) == (kind, end)
+        assert verdict.optimum_value == rv.system_values(system, [end]).value[0]
+        if points >= 101:  # grid spacing at most the 0.01 edge margin
+            assert sizes == [points] and scalar == []
+        else:
+            assert sizes[0] == points and set(sizes[1:]) == {33} and len(scalar) == 1
+
+    def test_rejects_grids_above_the_cap(self):
+        system = rv.symmetric_system(0.2, 2.0, rv.UniformTypes(), 0.5)
+        for points in (design.MAX_GRID_POINTS + 1, 10**12):
+            with pytest.raises(rv.ModelError, match="at most 100001 grid points"):
+                rv.optimize_threshold(system, grid_points=points)
+            with pytest.raises(rv.ModelError, match="at most 100001 grid points"):
+                rv.region_map("panelB", steps=points)
 
     def test_rejects_fewer_than_two_grid_points(self):
         system = rv.symmetric_system(0.2, 2.0, rv.UniformTypes(), 0.5)

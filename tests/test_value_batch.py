@@ -12,15 +12,18 @@ import contextlib
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import any_types, probability_vectors
+
 import recoval as rv
 from recoval import _quadrature
-from recoval.cli import main
+from recoval.cli import Scenario, _sweep_controversial_odds, _sweep_rows, main
 from recoval.core import posterior_probs, version_buy_probabilities
 from recoval.errors import ModelError
 
@@ -499,3 +502,68 @@ def test_a_valid_system_passes_the_gate(tmp_path_factory, case):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         assert main(["evaluate", "--scenario", str(path)]) == 0
     assert "error:" not in err.getvalue()
+
+
+# -- sweeps of Q, sigma and the sender exponent ---------------------------------
+
+
+def reference_sweep_points(scenario, param, grid):
+    """(x, system) of every point of a Q, sigma or a sweep, built in grid
+    order: the per-point part of the loop CLI sweeps ran before they became
+    one value-core call."""
+    points = []
+    for x in map(float, grid):
+        if param == "a":
+            variant = replace(scenario, sender_types=rv.PowerTypes(x))
+        else:
+            lam = _sweep_controversial_odds(scenario.quality)
+            prevalence = x if param == "Q" else scenario.quality.prevalence
+            sigma = scenario.quality.good_odds if param == "Q" else x
+            quality = rv.quality_from_params(prevalence, sigma, lam)
+            variant = replace(scenario, quality=quality)
+        points.append((x, variant.system()))
+    return points
+
+
+SWEEP_RANGES = {"Q": (0.0, 0.5), "sigma": (0.01, 100.0), "a": (0.1, 8.0)}
+
+
+@given(
+    masses=probability_vectors,
+    sender=any_types,
+    receiver=st.none() | any_types,
+    threshold=st.floats(0.02, 0.98),
+    param=st.sampled_from(sorted(SWEEP_RANGES)),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_sweeps_equal_a_per_point_reference(
+    masses, sender, receiver, threshold, param, data
+):
+    quality = rv.QualityDistribution(*masses)
+    scenario = Scenario(quality, sender, receiver or sender, threshold)
+    ends, steps = st.floats(*SWEEP_RANGES[param]), st.integers(1, 12)
+    grid = np.linspace(data.draw(ends), data.draw(ends), data.draw(steps))
+    try:
+        points = reference_sweep_points(scenario, param, grid)
+    except ModelError as exc:  # an invalid point: the same error line
+        with pytest.raises(type(exc)) as raised:
+            _sweep_rows(scenario, param, grid)
+        assert str(raised.value) == str(exc)
+        return
+    try:
+        reports = [(x, rv.system_value(system)) for x, system in points]
+    except ModelError:  # the batch may report another failing point first
+        with pytest.raises(ModelError):
+            _sweep_rows(scenario, param, grid)
+        return
+    want = [(x, r.value, r.pi_buy, r.region.kind) for x, r in reports]
+    got = _sweep_rows(scenario, param, grid)
+    powers = [scenario.receiver_types] + ([sender] if param != "a" else [])
+    if not any(isinstance(d, rv.PowerTypes) for d in powers):
+        assert got == want
+        return
+    for (x, value, pi_buy, region), ref in zip(got, want):
+        assert (x, region) == (ref[0], ref[3])
+        assert value == pytest.approx(ref[1], rel=POWER_TOL, abs=POWER_TOL)
+        assert pi_buy == pytest.approx(ref[2], rel=POWER_TOL, abs=POWER_TOL)
