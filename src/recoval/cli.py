@@ -32,7 +32,7 @@ from .core import (
 )
 from .design import MAX_GRID_POINTS, REGION_MAPS, optimize_threshold, region_map
 from .distributions import PowerTypes, TypeDistribution, distribution_from_spec
-from .errors import ModelError
+from .errors import ModelError, require_finite
 from .extensions import (
     MultiRecCount,
     ThresholdPair,
@@ -351,9 +351,10 @@ def _cmd_sweep(scenario: Scenario, args):
         raise ScenarioError("sweep requires --param")
     if scenario.kind != "single":
         raise ScenarioError("sweep requires a single-threshold scenario")
+    start, stop = _bounds(args)
     lo, hi = _SWEEP_DEFAULTS[args.param]
-    lo = args.start if args.start is not None else lo
-    hi = args.stop if args.stop is not None else hi
+    lo = lo if start is None else start
+    hi = hi if stop is None else stop
     grid = np.linspace(lo, hi, _steps(args, 101))
     rows = _sweep_rows(scenario, args.param, grid)
     payload = [
@@ -374,13 +375,18 @@ def _steps(args, default: int) -> int:
     return args.steps
 
 
+def _bounds(args) -> tuple:
+    given = [x for x in (args.start, args.stop) if x is not None]
+    require_finite("--from/--to", *given)
+    return args.start, args.stop
+
+
 def _cmd_region_map(scenario: Scenario, args):
     if args.figure is None:
         raise ScenarioError("region-map requires --figure")
     rows = region_map(
         args.figure,
-        x_from=args.start,
-        x_to=args.stop,
+        *_bounds(args),
         steps=_steps(args, 101),
         prevalence=scenario.quality.prevalence,
     )

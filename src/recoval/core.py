@@ -223,26 +223,27 @@ def version_buy_probabilities(dist: TypeDistribution, threshold):
 def recommendation_probabilities(system: RecommendationSystem) -> tuple[float, float]:
     """Unconditional probabilities of (buy, dont-buy) recommendations."""
     phi_1, phi_2 = version_buy_probabilities(system.sender_types, system.threshold)
-    _, pi_buy, _ = _posterior_weights(system.quality, phi_1, phi_2, Recommendation.BUY)
+    _, weights = _posterior_weights(system.quality, phi_1, phi_2, Recommendation.BUY)
+    pi_buy = sum(weights)
     return pi_buy, 1.0 - pi_buy
 
 
 def _posterior_weights(masses, phi_1, phi_2, rec: Recommendation):
-    """Name, probability and unnormalized posterior weights of ``rec``; the
-    four prior ``masses``, ``phi_1`` and ``phi_2`` may be floats or arrays."""
+    """Name and unnormalized posterior weights of ``rec``; their sum is its
+    probability and the posterior's divisor (1 - pi_buy cancels near 1).
+    The four prior ``masses``, ``phi_1`` and ``phi_2`` may be floats or arrays."""
     q_h, q_1, q_2, q_l = masses
-    pi_buy = q_h + q_1 * phi_1 + q_2 * phi_2
     if rec is Recommendation.BUY:
-        return "buy", pi_buy, (q_h, q_1 * phi_1, q_2 * phi_2, 0.0)
+        return "buy", (q_h, q_1 * phi_1, q_2 * phi_2, 0.0)
     if rec is Recommendation.DONT_BUY:
-        weights = (0.0, q_1 * (1.0 - phi_1), q_2 * (1.0 - phi_2), q_l)
-        return "dont-buy", 1.0 - pi_buy, weights
+        return "dont-buy", (0.0, q_1 * (1.0 - phi_1), q_2 * (1.0 - phi_2), q_l)
     raise ModelError(f"single-threshold systems emit buy/dont-buy, not {rec}")
 
 
 def posterior_probs(masses, phi_1, phi_2, rec: Recommendation) -> np.ndarray:
     """Checked posteriors as a (4, n) array, one column per point."""
-    name, total, weights = _posterior_weights(masses, phi_1, phi_2, rec)
+    name, weights = _posterior_weights(masses, phi_1, phi_2, rec)
+    total = sum(weights)
     if (total <= 0.0).any():
         raise UnreachableRecommendationError(
             f"{name} recommendation has zero probability"
@@ -263,8 +264,8 @@ def _normalized(rec: Recommendation, weights, total: float, event: str) -> Poste
 def posterior(system: RecommendationSystem, rec: Recommendation) -> Posterior:
     """Bayesian posterior over versions given a recommendation."""
     phi_1, phi_2 = version_buy_probabilities(system.sender_types, system.threshold)
-    name, total, weights = _posterior_weights(system.quality, phi_1, phi_2, rec)
-    return _normalized(rec, weights, total, f"{name} recommendation")
+    name, weights = _posterior_weights(system.quality, phi_1, phi_2, rec)
+    return _normalized(rec, weights, sum(weights), f"{name} recommendation")
 
 
 def belief_decomposition(system: RecommendationSystem) -> BeliefDecomposition:

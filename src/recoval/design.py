@@ -266,9 +266,8 @@ def prevalence_statics(good_odds: float, buy_share: float) -> PrevalenceVerdict:
     return PrevalenceVerdict(kind="interior", q_star=q_star)
 
 
-def _objective_effect_symmetric(
-    prevalence: float, good_odds: float, buy_share: float
-) -> float:
+def _objective_effect_symmetric(prevalence, good_odds, buy_share):
+    """Objective effect of a buy recommendation; floats or arrays."""
     q_h = (1.0 - 2.0 * prevalence) * good_odds / (1.0 + good_odds)
     return (
         (q_h + prevalence * buy_share) / (q_h + 2.0 * prevalence * buy_share)
@@ -284,7 +283,8 @@ def region_map(
     steps: int = 101,
     prevalence: float = 0.1,
 ) -> list[tuple[float, float, str]]:
-    """Boundary curves of the design regions, as (x, y, label) rows.
+    """Boundary curves of the design regions, as (x, y, label) rows, at
+    ``steps`` values of x from ``x_from`` to ``x_to`` (0.05 and 10 if None).
 
     * ``interior``: x is the shape exponent; rows give the lower/upper
       good-odds edges of the interior-optimum band at the given
@@ -296,15 +296,16 @@ def region_map(
     * ``panelB``: buy share above which the buy probability rises with
       the prevalence (analytic curve s / (1 + s)).
     * ``panelC``: buy share at which the objective effect stops rising
-      with the prevalence; located by sign-change bisection on a central
-      difference (h = 1e-6) at the given prevalence.
+      with the prevalence: the first sign change of a central difference
+      (h = 1e-6) on a 33-point scan of [0, 1] (a NaN is none), bisected
+      to 1e-10 in lockstep over all columns.
     """
     if kind not in REGION_MAPS:
         raise ModelError(f"unknown region map kind {kind!r}")
     if steps > MAX_GRID_POINTS:
         raise ModelError(f"need at most {MAX_GRID_POINTS} grid points, got {steps}")
-    if x_from is None or x_to is None:
-        x_from, x_to = (0.05, 10.0)
+    x_from = 0.05 if x_from is None else x_from
+    x_to = 10.0 if x_to is None else x_to
     xs = np.linspace(x_from, x_to, steps)
     rows: list[tuple[float, float, str]] = []
     if kind == "interior":
@@ -318,49 +319,41 @@ def region_map(
             if math.isfinite(hi) and hi < 1e6:
                 rows.append((float(a), hi, "upper"))
         return rows
-    if kind == "panelA":
-        for s in xs:
-            if abs(s - 1.0) < 1e-9 or s <= 0.0:
-                continue
-            b = (s * s - 3.0 * s) / (s * s - 1.0)
-            if 0.0 <= b <= 1.0:
-                rows.append((float(s), b, "interior_prevalence_boundary"))
-        return rows
-    if kind == "panelB":
-        label = "buy_probability_boundary"
-        return [(float(s), s / (1.0 + s), label) for s in xs if s > 0.0]
+    s = xs[~(xs <= 0.0)]  # NaN columns stay and give no row
+    with np.errstate(all="ignore"):  # 0/0 and overflow give NaN: no row
+        if kind == "panelB":
+            y, found, label = s / (1.0 + s), s > 0.0, "buy_probability_boundary"
+        elif kind == "panelA":
+            s = s[~(abs(s - 1.0) < 1e-9)]
+            y = (s * s - 3.0 * s) / (s * s - 1.0)
+            found, label = (0.0 <= y) & (y <= 1.0), "interior_prevalence_boundary"
+        else:
+            y, found = _objective_boundary(s, prevalence)
+            label = "objective_effect_boundary"
+    return [(x, b, label) for x, b in zip(s[found].tolist(), y[found].tolist())]
+
+
+def _objective_boundary(s: np.ndarray, prevalence: float):
+    """panelC's buy share for each good-odds column ``s``, and which have one."""
     h = 1e-6
-    for s in xs:
-        if s <= 0.0:
-            continue
 
-        def slope(b: float) -> float:
-            return (
-                _objective_effect_symmetric(prevalence + h, s, b)
-                - _objective_effect_symmetric(prevalence - h, s, b)
-            ) / (2.0 * h)
+    def slope(b):
+        return (
+            _objective_effect_symmetric(prevalence + h, s, b)
+            - _objective_effect_symmetric(prevalence - h, s, b)
+        ) / (2.0 * h)
 
-        b_star = _bisect_sign_change(slope, 0.0, 1.0)
-        if b_star is not None:
-            rows.append((float(s), b_star, "objective_effect_boundary"))
-    return rows
-
-
-def _bisect_sign_change(fn, lo: float, hi: float) -> float | None:
-    grid = np.linspace(lo, hi, _SIGN_SCAN)
-    vals = [fn(float(b)) for b in grid]
-    for j in range(1, _SIGN_SCAN):
-        if vals[j - 1] == 0.0:
-            return float(grid[j - 1])
-        if vals[j - 1] * vals[j] < 0.0:
-            a, b = float(grid[j - 1]), float(grid[j])
-            fa = vals[j - 1]
-            while b - a > 1e-10:
-                m = 0.5 * (a + b)
-                fm = fn(m)
-                if fa * fm <= 0.0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            return 0.5 * (a + b)
-    return None
+    grid = np.linspace(0.0, 1.0, _SIGN_SCAN)
+    vals = slope(grid[:, None])  # one row per scan point
+    zero = vals[:-1] == 0.0
+    hit = zero | (vals[:-1] * vals[1:] < 0.0)
+    j, cols, found = hit.argmax(axis=0), np.arange(s.size), hit.any(axis=0)
+    a, b, fa, zero = grid[j], grid[j + 1], vals[j, cols], zero[j, cols]
+    run = found & ~zero  # a zero at the first hit is the root itself
+    while (run := run & (b - a > 1e-10)).any():
+        m = 0.5 * (a + b)
+        fm = slope(m)
+        left = fa * fm <= 0.0
+        b = np.where(run & left, m, b)
+        a, fa = np.where(run & ~left, m, a), np.where(run & ~left, fm, fa)
+    return np.where(zero, a, 0.5 * (a + b)), found

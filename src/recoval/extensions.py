@@ -147,7 +147,7 @@ def three_level_posterior(
     if rec in (Recommendation.BUY, Recommendation.DONT_BUY):
         r = pair.high if rec is Recommendation.BUY else pair.low
         phi_1, phi_2 = version_buy_probabilities(dist, r)
-        weights = _posterior_weights(quality, phi_1, phi_2, rec)[2]
+        weights = _posterior_weights(quality, phi_1, phi_2, rec)[1]
     elif rec is Recommendation.NEUTRAL:
         gamma_1 = max(dist.cdf(pair.high - 0.5) - dist.cdf(pair.low - 0.5), 0.0)
         gamma_2 = max(dist.cdf(0.5 - pair.low) - dist.cdf(0.5 - pair.high), 0.0)

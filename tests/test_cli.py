@@ -261,6 +261,27 @@ class TestRegionMap:
         assert float(y) == pytest.approx(0.5, abs=1e-12)
         assert label == "buy_probability_boundary"
 
+    @pytest.mark.parametrize(
+        "bound, xs", [(("--from", "2"), [2.0, 6.0, 10.0]), (("--to", "2"), [0.05, 1.025, 2.0])]
+    )
+    def test_a_lone_bound_keeps_the_other_default(self, capsys, s1_path, bound, xs):
+        code, out, _ = run_cli(
+            capsys,
+            "region-map", "--scenario", s1_path, "--figure", "panelB", *bound, "--steps", "3",
+        )
+        assert code == 0
+        assert [row["x"] for row in json.loads(out)] == xs
+
+    def test_panel_c_at_half_prevalence_is_empty_and_silent(self, capsys, tmp_path):
+        doc = json.loads(S1_DOC)
+        doc["quality"] = {"Q": 0.499999, "sigma": 2.0}
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "region-map", "--scenario", str(path), "--figure", "panelC"
+        )
+        assert (code, out, err) == (0, "[]\n", "")
+
 
 class TestSimulate:
     def test_estimates_with_analytic_columns(self, capsys, s1_path):
@@ -423,6 +444,11 @@ class TestErrors:
             ("sweep", "--param", "R", "--steps", "1000000000000"),
             ("sweep", "--param", "Q", "--steps", "100002"),
             ("region-map", "--figure", "panelB", "--steps", "1000000000000"),
+            # non-finite grid ends
+            ("sweep", "--param", "beta", "--from", "inf"),
+            ("sweep", "--param", "R", "--to", "nan"),
+            ("region-map", "--figure", "panelC", "--from=-inf"),
+            ("region-map", "--figure", "panelA", "--to", "nan"),
         ],
     )
     def test_bad_grid_sizes_are_error_lines(self, capsys, s1_path, argv):

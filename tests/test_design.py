@@ -1,7 +1,11 @@
 """Threshold design: monotonicity, closed form, optimization, statics."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import recoval as rv
 from recoval import design
@@ -376,6 +380,92 @@ class TestRegionMap:
                 - _objective_effect_symmetric(0.1 - h, 3.0, share)
             ) / (2.0 * h)
             assert slope * sign > 0.0
+
+    def test_a_lone_bound_keeps_the_other_default(self):
+        rows = rv.region_map("panelB", x_from=2.0, steps=3)
+        assert [row[0] for row in rows] == [2.0, 6.0, 10.0]
+        rows = rv.region_map("panelB", x_to=2.0, steps=3)
+        assert [row[0] for row in rows] == np.linspace(0.05, 2.0, 3).tolist()
+
+    def test_panel_c_at_half_prevalence_is_empty_without_warnings(self):
+        # prevalence + h = 1/2 makes the objective effect 0/0 at share 0
+        assert rv.region_map("panelC", prevalence=0.499999) == []
+
+    def test_default_panel_c_map_evaluates_in_batches(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _objective_effect_symmetric(*args)
+
+        monkeypatch.setattr(design, "_objective_effect_symmetric", counted)
+        assert len(rv.region_map("panelC")) == 91
+        # two per slope: one scan, then at most 40 bisection steps
+        assert len(calls) <= 2 * (1 + 40)
+
+
+def reference_sign_change(fn, lo, hi):
+    """The per-column scan and bisection that panelC replaced."""
+    grid = np.linspace(lo, hi, 33)
+    vals = [fn(float(b)) for b in grid]
+    for j in range(1, 33):
+        if vals[j - 1] == 0.0:
+            return float(grid[j - 1])
+        if vals[j - 1] * vals[j] < 0.0:
+            a, b = float(grid[j - 1]), float(grid[j])
+            fa = vals[j - 1]
+            while b - a > 1e-10:
+                m = 0.5 * (a + b)
+                fm = fn(m)
+                if fa * fm <= 0.0:
+                    b = m
+                else:
+                    a, fa = m, fm
+            return 0.5 * (a + b)
+    return None
+
+
+def reference_region_map(kind, x_from, x_to, steps, prevalence):
+    """The per-column panelA and panelC loops, one scalar column at a time."""
+    rows, h = [], 1e-6
+    for s in np.linspace(x_from, x_to, steps):
+        if kind == "panelA":
+            if abs(s - 1.0) < 1e-9 or s <= 0.0:
+                continue
+            b = (s * s - 3.0 * s) / (s * s - 1.0)
+            if 0.0 <= b <= 1.0:
+                rows.append((float(s), b, "interior_prevalence_boundary"))
+            continue
+        if s <= 0.0:
+            continue
+
+        def slope(b):
+            return (
+                _objective_effect_symmetric(prevalence + h, s, b)
+                - _objective_effect_symmetric(prevalence - h, s, b)
+            ) / (2.0 * h)
+
+        b_star = reference_sign_change(slope, 0.0, 1.0)
+        if b_star is not None:
+            rows.append((float(s), b_star, "objective_effect_boundary"))
+    return rows
+
+
+map_ends = st.floats(-1.0, 20.0) | st.sampled_from([0.0, 1.0, math.nan])
+
+
+@given(
+    st.sampled_from(["panelA", "panelC"]),
+    map_ends,
+    map_ends,
+    st.integers(1, 300),
+    st.floats(0.0, 0.5) | st.sampled_from([0.0, 0.499999, 0.5 - 1e-6, 0.5]),
+)
+@settings(max_examples=100, deadline=None)
+def test_panel_maps_equal_the_per_column_loops(kind, x_from, x_to, steps, prevalence):
+    with np.errstate(all="ignore"):  # the scalar loop divides 0/0 at prevalence 1/2
+        want = reference_region_map(kind, x_from, x_to, steps, prevalence)
+    assert rv.region_map(kind, x_from, x_to, steps, prevalence) == want
 
 
 class TestFiniteDifferenceSlopeSigns:

@@ -122,13 +122,9 @@ def ref_posterior(system, buy):
     pi_buy = q.q_h + q.q_1 * phi_1 + q.q_2 * phi_2
     if buy:
         return (q.q_h / pi_buy, q.q_1 * phi_1 / pi_buy, q.q_2 * phi_2 / pi_buy, 0.0)
-    pi_dont = 1.0 - pi_buy
-    return (
-        0.0,
-        q.q_1 * (1.0 - phi_1) / pi_dont,
-        q.q_2 * (1.0 - phi_2) / pi_dont,
-        q.q_l / pi_dont,
-    )
+    # normalized by the weights' own sum: 1 - pi_buy cancels when pi_buy is near 1
+    weights = (0.0, q.q_1 * (1.0 - phi_1), q.q_2 * (1.0 - phi_2), q.q_l)
+    return tuple(w / sum(weights) for w in weights)
 
 
 def ref_effects(system, buy):
@@ -502,6 +498,30 @@ def test_a_valid_system_passes_the_gate(tmp_path_factory, case):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         assert main(["evaluate", "--scenario", str(path)]) == 0
     assert "error:" not in err.getvalue()
+
+
+@pytest.mark.parametrize("q_h, rest", [(0.999999, 1e-6), (1 - 1e-8, 1e-8), (1 - 1e-9, 1e-9)])
+def test_dont_buy_posterior_with_buy_probability_near_one(tmp_path, q_h, rest):
+    # 1 - pi_buy cancels here; the posterior divides by its weights' sum
+    masses = (q_h, rest / 3, rest / 3, 1.0 - q_h - 2 * rest / 3)
+    system = rv.RecommendationSystem(rv.QualityDistribution(*masses), rv.UniformTypes(), 0.5)
+    probs = rv.posterior(system, rv.Recommendation.DONT_BUY).probs
+    assert probs == pytest.approx((0.0, 0.25, 0.25, 0.5), abs=1e-6)
+    report = rv.system_value(system)
+    assert rv.system_values(system, [0.5]).value[0] == report.value
+    assert report.dont_effects.objective == pytest.approx(-0.75, abs=1e-6)
+    doc = {
+        "quality": dict(zip(("qH", "q1", "q2", "qL"), masses)),
+        "sender_types": {"kind": "uniform"},
+        "threshold": 0.5,
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["evaluate", "--scenario", str(path)]) == 0
+    assert err.getvalue() == ""
+    assert json.loads(out.getvalue())["delta_O_D"] == pytest.approx(-0.75, abs=1e-6)
 
 
 # -- sweeps of Q, sigma and the sender exponent ---------------------------------
