@@ -232,13 +232,14 @@ def _fmt(x) -> str:
 
 
 def _emit(payload, rows, args) -> str:
-    if args.csv:
-        if rows is None:
-            raise ScenarioError("--csv applies to tabular commands only")
+    if rows is not None:
         header, table = rows
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(cell) for cell in row) for row in table]
-        return "\n".join(lines) + "\n"
+        if args.csv:
+            lines = [",".join(map(_fmt, row)) for row in (header, *table)]
+            return "\n".join(lines) + "\n"
+        payload = [dict(zip(header, row)) for row in table]
+    elif args.csv:
+        raise ScenarioError("--csv applies to tabular commands only")
     return json.dumps(_json_ready(payload), indent=2) + "\n"
 
 
@@ -357,10 +358,7 @@ def _cmd_sweep(scenario: Scenario, args):
     hi = hi if stop is None else stop
     grid = np.linspace(lo, hi, _steps(args, 101))
     rows = _sweep_rows(scenario, args.param, grid)
-    payload = [
-        {"param": r[0], "value": r[1], "pi_buy": r[2], "region": r[3]} for r in rows
-    ]
-    return payload, (("param", "value", "pi_buy", "region"), rows)
+    return None, (("param", "value", "pi_buy", "region"), rows)
 
 
 def _steps(args, default: int) -> int:
@@ -390,8 +388,7 @@ def _cmd_region_map(scenario: Scenario, args):
         steps=_steps(args, 101),
         prevalence=scenario.quality.prevalence,
     )
-    payload = [{"x": r[0], "y": r[1], "label": r[2]} for r in rows]
-    return payload, (("x", "y", "label"), rows)
+    return None, (("x", "y", "label"), rows)
 
 
 def _simulate_single(scenario: Scenario, config: SimulationConfig):
@@ -456,9 +453,8 @@ def _cmd_simulate(scenario: Scenario, args):
         "infinite": _simulate_infinite,
     }[scenario.kind]
     triples = handler(scenario, config)
-    payload = [{"name": n, **e.to_record(), "analytic": t} for n, e, t in triples]
     rows = [(n, e.estimate, e.stderr, e.samples, e.seed, t) for n, e, t in triples]
-    return payload, (("name", "estimate", "stderr", "n", "seed", "analytic"), rows)
+    return None, (("name", "estimate", "stderr", "n", "seed", "analytic"), rows)
 
 
 def _apply_threshold_flags(scenario: Scenario, args) -> Scenario:

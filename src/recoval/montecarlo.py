@@ -4,12 +4,12 @@ Samples products, sender types and receiver types, simulates the
 mechanical sender rule and the receiver's optimal response, and reports
 empirical estimates with standard errors.  The sample index space is
 partitioned into fixed 65536-sample blocks; block ``j`` draws from a
-counter-based Philox stream jumped ``j`` times from the seed, and the
-per-block results are reduced in block order.  Estimates are therefore
-bit-identical for a given (seed, sample count) regardless of how many
-worker threads run the blocks.  Worker parallelism is capped by the
-``RECO_THREADS`` environment variable (0 or unset = auto; anything but
-a non-negative integer is a ``ModelError``).
+counter-based Philox stream jumped ``j`` times from the seed, and block
+results fold into running totals in block order.  Estimates are thus
+bit-identical for a given (seed, sample count) whatever the number of
+worker threads, and memory does not grow with the sample count.  Worker
+parallelism is capped by the ``RECO_THREADS`` environment variable (0 or
+unset = auto; anything but a non-negative integer is a ``ModelError``).
 
 ``estimate_single`` takes the buy probability, both posterior tables and
 the value from one pass; CLI ``simulate`` on one threshold makes that
@@ -26,6 +26,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -45,8 +46,8 @@ BLOCK_SIZE = 1 << 16
 # reports x samples quantile draws.
 MAX_REPORTS = 1000
 
-# Most samples one estimate draws: 2^20 blocks.  The block plan is built
-# before any block runs, so an unbounded count would exhaust memory.
+# Most samples one estimate draws: 2^20 blocks.  Memory does not grow with
+# the count, but time does: this bounds how long one estimate runs.
 MAX_SAMPLES = 1 << 36
 
 _W1 = np.array([1.0, 1.0, 0.0, 0.0])
@@ -135,39 +136,48 @@ def _worker_count(raw: str | None, blocks: int) -> int:
 
 
 def _run_blocks(seed: int, total: int, block_fn):
-    """Run ``block_fn(rng, count)`` over all blocks, in block order."""
-    blocks = range(0, total, BLOCK_SIZE)
-    plans = [(j, min(BLOCK_SIZE, total - start)) for j, start in enumerate(blocks)]
+    """Sum the tuples ``block_fn(rng, count)`` returns, element by element in
+    block order; several workers take rounds of four blocks per worker."""
+    blocks = range(-(-total // BLOCK_SIZE))
     key = seed & 0xFFFFFFFFFFFFFFFF  # Philox keys are unsigned
 
-    def run(plan):
-        block_index, count = plan
+    def run(block_index):
         rng = np.random.Generator(np.random.Philox(key=key).jumped(block_index))
-        return block_fn(rng, count)
+        return block_fn(rng, min(BLOCK_SIZE, total - block_index * BLOCK_SIZE))
 
-    workers = _worker_count(os.environ.get("RECO_THREADS"), len(plans))
+    def merge(acc, part):
+        return tuple(a + b for a, b in zip(acc, part))
+
+    workers = _worker_count(os.environ.get("RECO_THREADS"), len(blocks))
     if workers == 1:
-        return [run(p) for p in plans]
+        return reduce(merge, map(run, blocks))
+    step = 4 * workers
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, plans))
+        rounds = (pool.map(run, blocks[i : i + step]) for i in blocks[::step])
+        return reduce(merge, (part for results in rounds for part in results))
 
 
-def _mean_estimate(parts, seed: int) -> EstimateWithError:
-    """Mean and standard error from per-block ``(sum, M2, count)`` parts.
+@dataclass(frozen=True)
+class _Moments:
+    """Sum, mean, squared deviations from the mean (M2) and count of samples.
+    ``a + b`` merges two by the pairwise update of Chan, Golub and LeVeque
+    (1983), which does not cancel like sum(x^2) - sum(x)^2/n."""
 
-    M2 is the block's sum of squared deviations from its own mean.  The
-    blocks merge in block order by the pairwise update of Chan, Golub
-    and LeVeque (1983), which does not cancel like sum(x^2) - sum(x)^2/n.
-    """
-    n, mean, m2 = 0, 0.0, 0.0
-    for s, block_m2, count in parts:
-        delta = s / count - mean
-        merged = n + count
-        m2 += block_m2 + delta * delta * (n * count / merged)
-        mean += delta * (count / merged)
-        n = merged
-    estimate = sum(p[0] for p in parts) / n
-    return EstimateWithError(estimate, float(np.sqrt(m2 / (n - 1) / n)), n, seed)
+    total: float
+    mean: float
+    m2: float
+    n: int
+
+    def __add__(self, other: _Moments) -> _Moments:
+        merged = self.n + other.n
+        delta = other.mean - self.mean
+        m2 = self.m2 + (other.m2 + delta * delta * (self.n * other.n / merged))
+        mean = self.mean + delta * (other.n / merged)
+        return _Moments(self.total + other.total, mean, m2, merged)
+
+    def estimate(self, seed: int) -> EstimateWithError:
+        stderr = float(np.sqrt(self.m2 / (self.n - 1) / self.n))
+        return EstimateWithError(self.total / self.n, stderr, self.n, seed)
 
 
 def _proportion(count: float, total: int, seed: int) -> EstimateWithError:
@@ -175,9 +185,7 @@ def _proportion(count: float, total: int, seed: int) -> EstimateWithError:
         return EstimateWithError(float("nan"), float("nan"), int(total), seed)
     p = count / total
     var = (count - count * count / total) / (total - 1)
-    return EstimateWithError(
-        estimate=p, stderr=float(np.sqrt(var / total)), samples=int(total), seed=seed
-    )
+    return EstimateWithError(p, float(np.sqrt(var / total)), int(total), seed)
 
 
 def _table(tallies, kept: float, seed: int) -> tuple[EstimateWithError, ...]:
@@ -206,11 +214,11 @@ def _gain(buy, versions, alternatives, receivers) -> np.ndarray:
     return np.where(buy, _payoffs(versions, receivers), baseline) - baseline
 
 
-def _moments(gain: np.ndarray, count: int):
-    """(sum, sum of squared deviations from the mean, count) of a block."""
+def _moments(gain: np.ndarray, count: int) -> _Moments:
+    """Moments of a block's ``count`` samples."""
     s = float(gain.sum())
     dev = gain - s / count
-    return s, float((dev * dev).sum()), count
+    return _Moments(s, s / count, float((dev * dev).sum()), count)
 
 
 def _buys_controversial(quality: QualityDistribution, types: np.ndarray) -> np.ndarray:
@@ -259,16 +267,13 @@ def estimate_single(
         tallies = np.bincount(2 * versions + rec_buy, minlength=8).reshape(4, 2)
         return _moments(rec_buy, count), tallies.astype(float), _moments(gain, count)
 
-    parts = _run_blocks(config.seed, config.samples, block)
+    buys, tallies, value = _run_blocks(config.seed, config.samples, block)
     seed = config.seed
-    pi_buy = _mean_estimate([p[0] for p in parts], seed)
-    buys = sum(p[0][0] for p in parts)
-    tallies = sum(p[1] for p in parts)
     return SingleEstimate(
-        pi_buy=pi_buy,
-        buy_posterior=_table(tallies[:, 1], buys, seed),
-        dont_posterior=_table(tallies[:, 0], config.samples - buys, seed),
-        value=_mean_estimate([p[2] for p in parts], seed),
+        pi_buy=buys.estimate(seed),
+        buy_posterior=_table(tallies[:, 1], buys.total, seed),
+        dont_posterior=_table(tallies[:, 0], config.samples - buys.total, seed),
+        value=value.estimate(seed),
     )
 
 
@@ -303,9 +308,10 @@ def estimate_two_threshold(
         rec_dont = sender_pay < pair.low
         buy_neutral = _buys_controversial(quality, receivers)
         buy_product = rec_buy | (~rec_buy & ~rec_dont & buy_neutral)
-        return _moments(_gain(buy_product, versions, alternatives, receivers), count)
+        return (_moments(_gain(buy_product, versions, alternatives, receivers), count),)
 
-    return _mean_estimate(_run_blocks(config.seed, config.samples, block), config.seed)
+    (value,) = _run_blocks(config.seed, config.samples, block)
+    return value.estimate(config.seed)
 
 
 def estimate_multi(
@@ -338,12 +344,11 @@ def _estimate_multi_counts(system, config) -> MultiEstimate:
             buy_counts += _payoffs(versions, senders) >= threshold
         kept = buy_counts == config.buys
         tallies = np.bincount(versions[kept], minlength=4).astype(float)
-        return (*_moments(kept, count), tallies)
+        return _moments(kept, count), tallies
 
-    parts = _run_blocks(config.seed, config.samples, block)
-    event = _mean_estimate([p[:3] for p in parts], config.seed)
-    kept_total, tallies = sum(p[0] for p in parts), sum(p[3] for p in parts)
-    return MultiEstimate(event, _table(tallies, kept_total, config.seed))
+    event, tallies = _run_blocks(config.seed, config.samples, block)
+    table = _table(tallies, event.total, config.seed)
+    return MultiEstimate(event.estimate(config.seed), table)
 
 
 def _estimate_infinite(system, config) -> MultiEstimate:
@@ -361,12 +366,11 @@ def _estimate_infinite(system, config) -> MultiEstimate:
         buy_product = good | (controversial & buy_mixed)
         gain = _gain(buy_product, versions, alternatives, receivers)
         tallies = np.bincount(versions[controversial], minlength=4).astype(float)
-        return (*_moments(gain, count), tallies, float(controversial.sum()))
+        return _moments(gain, count), tallies
 
-    parts = _run_blocks(config.seed, config.samples, block)
-    value = _mean_estimate([p[:3] for p in parts], config.seed)
-    tallies, contro_total = sum(p[3] for p in parts), sum(p[4] for p in parts)
-    return MultiEstimate(value, _table(tallies, contro_total, config.seed))
+    value, tallies = _run_blocks(config.seed, config.samples, block)
+    table = _table(tallies, tallies.sum(), config.seed)
+    return MultiEstimate(value.estimate(config.seed), table)
 
 
 def estimate_posterior(

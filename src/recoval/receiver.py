@@ -118,11 +118,13 @@ def region_arrays(objective, subjective) -> tuple[np.ndarray, np.ndarray]:
     means buy recommendations favor version (1, 0): high types accept.
     """
     nan = np.full(objective.shape, np.nan)
-    cutoff = np.divide(objective, subjective, out=nan, where=subjective != 0.0)
+    # all-accept test first, as in acceptance_region: o / 1e-323 can overflow
+    divide = ~(np.abs(subjective) <= 2.0 * objective + REGION_EPS) & (subjective != 0.0)
+    cutoff = np.divide(objective, subjective, out=nan, where=divide)
     favors_1 = subjective < 0.0
     upper = favors_1 & ~(cutoff <= -0.5)
     lower = ~favors_1 & ~(cutoff >= 0.5)
-    everyone = (np.abs(subjective) <= 2.0 * objective + REGION_EPS) | ~(upper | lower)
+    everyone = ~divide | ~(upper | lower)
     kind = np.where(everyone, ALL, np.where(upper, UPPER, LOWER))
     return kind, np.where(everyone, np.nan, cutoff)
 
@@ -131,7 +133,7 @@ def acceptance_region(system: RecommendationSystem) -> AcceptanceRegion:
     """Classify which types accept, collapsing out-of-range cutoffs."""
     eff = effects(system, Recommendation.BUY)
     d_o, d_s = eff.objective, eff.subjective
-    if abs(d_s) <= 2.0 * d_o + REGION_EPS:
+    if abs(d_s) <= 2.0 * d_o + REGION_EPS or d_s == 0.0:
         return AcceptanceRegion(kind="all")
     cutoff = d_o / d_s
     if d_s < 0.0:

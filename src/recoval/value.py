@@ -15,6 +15,7 @@ two routes must agree to 1e-9 at every point or the call fails loudly.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,7 @@ from .core import (
     version_buy_probabilities,
 )
 from .distributions import HI, LO, TypeDistribution
-from .errors import ModelError
+from .errors import ModelError, UnreachableRecommendationError
 from .receiver import (
     ALL,
     UPPER,
@@ -107,10 +108,10 @@ def value_rejecting(system: RecommendationSystem, i: float) -> float:
     """Expected payoff of a type-``i`` receiver who goes against them."""
     pi_buy, pi_dont = recommendation_probabilities(system)
     u_0 = value_no_rec(i, system.quality)
-    if pi_dont <= 0.0:
-        return u_0
-    u_dont = expected_utility(i, posterior(system, Recommendation.DONT_BUY))
-    return pi_buy * u_0 + pi_dont * u_dont
+    with suppress(UnreachableRecommendationError):  # unless every dont-buy weight is 0
+        u_dont = expected_utility(i, posterior(system, Recommendation.DONT_BUY))
+        return pi_buy * u_0 + pi_dont * u_dont
+    return u_0
 
 
 @dataclass(frozen=True)
@@ -178,10 +179,11 @@ def value_core(masses, phi_1, phi_2, thresholds, dist: TypeDistribution) -> Valu
     If the routes differ by more than 1e-9 at any point, the batch raises.
     """
     n = thresholds.size
-    q_h, q_1, q_2, _ = masses
+    q_h, q_1, q_2, q_l = masses
     pi_buy = q_h + q_1 * phi_1 + q_2 * phi_2
     pi_dont = 1.0 - pi_buy
-    has_dont = pi_dont > 0.0
+    # gated on the dont-buy weights: pi_dont can be an ulp above 0 without them
+    has_dont = q_1 * (1.0 - phi_1) + q_2 * (1.0 - phi_2) + q_l > 0.0
     effects = np.full((4, n), np.nan)
     buy = posterior_probs(masses, phi_1, phi_2, Recommendation.BUY)
     effects[:2] = effect_arrays(masses, buy)
@@ -244,12 +246,13 @@ def _linear_pieces(system):
     """
     pi_buy, pi_dont = recommendation_probabilities(system)
     eff_b = effects(system, Recommendation.BUY)
-    eff_d = effects(system, Recommendation.DONT_BUY) if pi_dont > 0.0 else None
+    eff_d = None
+    reject = (0.0, 0.0, "reject")
+    with suppress(UnreachableRecommendationError):  # unless every dont-buy weight is 0
+        eff_d = effects(system, Recommendation.DONT_BUY)
+        reject = (pi_dont * eff_d.objective, -pi_dont * eff_d.subjective, "reject")
     region = acceptance_region(system)
     accept = (pi_buy * eff_b.objective, -pi_buy * eff_b.subjective, "accept")
-    reject = (0.0, 0.0, "reject")
-    if eff_d is not None:
-        reject = (pi_dont * eff_d.objective, -pi_dont * eff_d.subjective, "reject")
     # [LO, c] and [c, HI], dropped where empty (the second where all accept)
     c = HI if region.kind == "all" else region.cutoff
     first, second = (reject, accept) if region.kind == "upper" else (accept, reject)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import recoval as rv
@@ -253,11 +253,20 @@ interval_ends = st.floats(-0.6, 0.6)
     st.lists(st.tuples(interval_ends, interval_ends).map(sorted), min_size=1, max_size=8),
 )
 @settings(max_examples=100, deadline=None)
+@example(  # unsplit, Simpson steps over the segment 0.01 wide and returns 0.125
+    dist=rv.TabulatedTypes(
+        ((-0.5, 0), (-0.49, 0.01), (-0.48, 0.02), (0.38, 0.88), (0.39, 0.89390625), (0.5, 1))
+    ),
+    intervals=[[0.0, 0.5]],
+)
 def test_tabulated_truncated_mean_matches_simpson(dist, intervals):
     lo, hi = np.clip(np.array(intervals).T, -0.5, 0.5)
-    # at its default 1e-10, Simpson misses a knot just inside an end of the
-    # interval by up to about 14 times its tolerance
-    tail = _quadrature.adaptive_simpson(dist.cdf, lo, hi, tol=1e-12)
+    # split at the knots, as value._cdf_integral does: over a whole interval
+    # Simpson can step over a narrow segment or miss a knot near an end
+    knots = np.broadcast_to(dist.breakpoints, lo.shape + dist.breakpoints.shape)
+    edges = np.column_stack((lo, knots, hi)).clip(lo[:, None], hi[:, None])
+    parts = _quadrature.adaptive_simpson(dist.cdf, edges[:, :-1], edges[:, 1:], tol=1e-12)
+    tail = parts.sum(axis=1)
     by_parts = np.where(hi > lo, hi * dist.cdf(hi) - lo * dist.cdf(lo) - tail, 0.0)
     np.testing.assert_allclose(
         dist.partial_expectation(lo, hi), by_parts, rtol=0, atol=1e-10

@@ -2,6 +2,11 @@
 
 import json
 import os
+import sys
+import threading
+import time
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -96,23 +101,157 @@ class TestWorkers:
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setenv("RECO_THREADS", "100000")
         total = 2 * montecarlo.BLOCK_SIZE + 5
-        counts = montecarlo._run_blocks(3, total, lambda rng, count: count)
+        counts = []
+
+        def block(rng, count):
+            counts.append(count)
+            return (count,)
+
+        assert montecarlo._run_blocks(3, total, block) == (total,)
         assert counts == [montecarlo.BLOCK_SIZE, montecarlo.BLOCK_SIZE, 5]
         assert requested == [3]
 
+    def test_blocks_go_to_the_pool_a_few_per_worker_at_a_time(self, monkeypatch):
+        rounds = []
+
+        class InlinePool:
+            """Records the blocks of each ``map`` call and runs them on this thread."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                rounds.append(list(items))
+                return map(fn, items)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setenv("RECO_THREADS", "2")
+        total = 19 * montecarlo.BLOCK_SIZE + 1
+        assert montecarlo._run_blocks(3, total, lambda rng, count: (count,)) == (total,)
+        assert rounds == [list(range(0, 8)), list(range(8, 16)), list(range(16, 20))]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_a_failing_block_ends_the_run_before_later_blocks_start(
+        self, monkeypatch, threads
+    ):
+        monkeypatch.setenv("RECO_THREADS", threads)
+        calls, lock = [], threading.Lock()
+
+        def block(rng, count):
+            with lock:
+                calls.append(count)
+                first = len(calls) == 1
+            if first:
+                # the other worker has time to run every block it is given
+                time.sleep(0.05)
+                raise ArithmeticError("block failed")
+            return (count,)
+
+        with pytest.raises(ArithmeticError, match="block failed"):
+            montecarlo._run_blocks(3, 64 * montecarlo.BLOCK_SIZE, block)
+        assert len(calls) <= 4 * int(threads)
+
+    def test_blocks_fold_in_block_order_under_thread_switching(self, monkeypatch):
+        # strings add by concatenation, so the fold shows the order it took
+        def block(rng, count):
+            return (f"{rng.integers(1 << 30)}:{count},",)
+
+        total = 49 * montecarlo.BLOCK_SIZE + 3
+        monkeypatch.setenv("RECO_THREADS", "1")
+        (inline,) = montecarlo._run_blocks(11, total, block)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            monkeypatch.setenv("RECO_THREADS", "5")  # more workers than cores
+            (threaded,) = montecarlo._run_blocks(11, total, block)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == inline
+        assert inline.count(",") == 50 and inline.endswith(":3,")
+
+
+def stub_block(rng, count):
+    """A block result of the shape the estimators fold: moments and a tally."""
+    return montecarlo._moments(np.ones(4), 4), np.ones(4)
+
+
+class TestMemory:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_peak_does_not_grow_with_the_block_count(self, monkeypatch, threads):
+        monkeypatch.setenv("RECO_THREADS", threads)
+        blocks = 1 << 12
+        tracemalloc.start()
+        try:
+            montecarlo._run_blocks(1, 64 * montecarlo.BLOCK_SIZE, stub_block)  # warm-up
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            moments, tally = montecarlo._run_blocks(
+                1, blocks * montecarlo.BLOCK_SIZE, stub_block
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert moments.n == 4 * blocks and tally.tolist() == [blocks] * 4
+        # holding every block's result, and the list of blocks, took 1.6 MiB
+        # at one worker and 7.8 MiB at two; the fold takes about 0.1 MiB
+        assert peak - before < 0.5 * 2**20
+
 
 class TestVariance:
-    def test_large_common_offset_does_not_cancel(self):
+    def test_large_common_offset_does_not_cancel(self, monkeypatch):
         # sum(x^2) - sum(x)^2 / n loses every digit of the variance here
+        monkeypatch.setenv("RECO_THREADS", "1")  # blocks are taken in order
         rng = np.random.default_rng(5)
         gains = 1e9 + rng.standard_normal(2 * montecarlo.BLOCK_SIZE + 1000)
         blocks = np.split(gains, [montecarlo.BLOCK_SIZE, 2 * montecarlo.BLOCK_SIZE])
-        parts = [montecarlo._moments(block, block.size) for block in blocks]
-        est = montecarlo._mean_estimate(parts, seed=0)
+        pending = iter(blocks)
+        (moments,) = montecarlo._run_blocks(
+            0, gains.size, lambda rng, count: (montecarlo._moments(next(pending), count),)
+        )
+        est = moments.estimate(seed=0)
         assert est.samples == gains.size
-        assert est.estimate == sum(p[0] for p in parts) / gains.size
+        assert est.estimate == sum(float(block.sum()) for block in blocks) / gains.size
         want = np.sqrt(np.var(gains, ddof=1) / gains.size)
         assert est.stderr == pytest.approx(want, rel=1e-6)
+
+
+def reference_run_blocks(seed, total, block_fn):
+    """Every block's result, in block order: the collect step of the
+    collect-then-reduce that ``_run_blocks`` replaced by a running fold."""
+    blocks = range(0, total, montecarlo.BLOCK_SIZE)
+    plans = [(j, min(montecarlo.BLOCK_SIZE, total - start)) for j, start in enumerate(blocks)]
+    key = seed & 0xFFFFFFFFFFFFFFFF
+    return [
+        block_fn(np.random.Generator(np.random.Philox(key=key).jumped(j)), count)
+        for j, count in plans
+    ]
+
+
+def reference_moments(gain, count):
+    """(sum, sum of squared deviations from the mean, count) of a block."""
+    s = float(gain.sum())
+    dev = gain - s / count
+    return s, float((dev * dev).sum()), count
+
+
+def reference_mean_estimate(parts, seed):
+    """Mean and standard error from per-block ``(sum, M2, count)`` parts,
+    merged in block order by the update of Chan, Golub and LeVeque."""
+    n, mean, m2 = 0, 0.0, 0.0
+    for s, block_m2, count in parts:
+        delta = s / count - mean
+        merged = n + count
+        m2 += block_m2 + delta * delta * (n * count / merged)
+        mean += delta * (count / merged)
+        n = merged
+    estimate = sum(p[0] for p in parts) / n
+    return rv.EstimateWithError(estimate, float(np.sqrt(m2 / (n - 1) / n)), n, seed)
 
 
 def reference_pi_buy(system, config):
@@ -124,10 +263,10 @@ def reference_pi_buy(system, config):
         u = rng.random((2, count))
         versions = montecarlo._sample_versions(quality, u[0])
         senders = dist.quantile(u[1])
-        return montecarlo._moments(montecarlo._payoffs(versions, senders) >= threshold, count)
+        return reference_moments(montecarlo._payoffs(versions, senders) >= threshold, count)
 
-    parts = montecarlo._run_blocks(config.seed, config.samples, block)
-    return montecarlo._mean_estimate(parts, config.seed)
+    parts = reference_run_blocks(config.seed, config.samples, block)
+    return reference_mean_estimate(parts, config.seed)
 
 
 def reference_value(system, config):
@@ -146,10 +285,10 @@ def reference_value(system, config):
         rec_buy = montecarlo._payoffs(versions, senders) >= threshold
         accept = eff.objective >= receivers * eff.subjective
         gain = montecarlo._gain(accept == rec_buy, versions, alternatives, receivers)
-        return montecarlo._moments(gain, count)
+        return reference_moments(gain, count)
 
-    parts = montecarlo._run_blocks(config.seed, config.samples, block)
-    return montecarlo._mean_estimate(parts, config.seed)
+    parts = reference_run_blocks(config.seed, config.samples, block)
+    return reference_mean_estimate(parts, config.seed)
 
 
 def bits(estimates):
@@ -255,6 +394,76 @@ class TestSingleReport:
                 "--out", str(tmp_path / "out.json")]
         assert cli.main(argv) == 0
         assert passes == [2000]
+
+
+def reference_estimate(mode, parts, config):
+    """The block-ordered reduction each estimator made of its collected
+    block results before the results were folded as they arrived."""
+    seed = config.seed
+
+    def mean(k):
+        return reference_mean_estimate([(p[k].total, p[k].m2, p[k].n) for p in parts], seed)
+
+    if mode == "two_threshold":
+        return mean(0)
+    tallies = sum(p[1] for p in parts)
+    if mode == "single":
+        buys = sum(p[0].total for p in parts)
+        return rv.SingleEstimate(
+            pi_buy=mean(0),
+            buy_posterior=montecarlo._table(tallies[:, 1], buys, seed),
+            dont_posterior=montecarlo._table(tallies[:, 0], config.samples - buys, seed),
+            value=mean(2),
+        )
+    if mode == "multi":
+        kept = sum(p[0].total for p in parts)
+    else:  # a block's controversial count is the sum of its tallies
+        kept = sum(float(p[1].sum()) for p in parts)
+    return rv.MultiEstimate(mean(0), montecarlo._table(tallies, kept, seed))
+
+
+SKEWED = rv.RecommendationSystem(
+    rv.QualityDistribution(0.3, 0.25, 0.1, 0.35), rv.PowerTypes(2.5), 0.55,
+    rv.TabulatedTypes(points=((-0.5, 0.0), (-0.1, 0.25), (0.2, 0.7), (0.5, 1.0))),
+)
+
+ESTIMATORS = {
+    "single": lambda config: rv.estimate_single(SKEWED, config),
+    "two_threshold": lambda config: rv.estimate_two_threshold(
+        S4_QUALITY, UNIFORM, S4_PAIR, config
+    ),
+    "multi": lambda config: rv.estimate_multi(
+        SKEWED, replace(config, mode="multi", buys=2, dont_buys=1)
+    ),
+    "infinite": lambda config: rv.estimate_multi(SKEWED, replace(config, mode="infinite")),
+}
+
+
+class TestFold:
+    @pytest.mark.parametrize("mode", sorted(ESTIMATORS))
+    @pytest.mark.parametrize("threads", ["1", "2", None])
+    @pytest.mark.parametrize("samples", [1000, montecarlo.BLOCK_SIZE + 17])
+    def test_estimates_equal_the_collect_then_reduce_bit_for_bit(
+        self, monkeypatch, mode, threads, samples
+    ):
+        if threads is None:
+            monkeypatch.delenv("RECO_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("RECO_THREADS", threads)
+        blocks = []
+        run_blocks = montecarlo._run_blocks
+
+        def recorded(seed, total, block_fn):
+            blocks.append(block_fn)
+            return run_blocks(seed, total, block_fn)
+
+        monkeypatch.setattr(montecarlo, "_run_blocks", recorded)
+        config = rv.SimulationConfig(samples=samples, seed=2**64 - 3)
+        got = ESTIMATORS[mode](config)
+        (block_fn,) = blocks
+        parts = reference_run_blocks(config.seed, samples, block_fn)
+        assert len(parts) == -(-samples // montecarlo.BLOCK_SIZE)
+        assert bits(got) == bits(reference_estimate(mode, parts, config))
 
 
 class TestEstimators:

@@ -12,11 +12,12 @@ import contextlib
 import io
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import any_types, probability_vectors
@@ -522,6 +523,142 @@ def test_dont_buy_posterior_with_buy_probability_near_one(tmp_path, q_h, rest):
         assert main(["evaluate", "--scenario", str(path)]) == 0
     assert err.getvalue() == ""
     assert json.loads(out.getvalue())["delta_O_D"] == pytest.approx(-0.75, abs=1e-6)
+
+
+# -- extreme but valid qualities ------------------------------------------------
+
+# q_1 = 1e-323 and q_2 = 0: the buy subjective effect is about -1e-323, and
+# dividing the objective effect by it overflowed
+SUBNORMAL = rv.RecommendationSystem(
+    rv.quality_from_params(5e-324, 1.0, 4.0), rv.UniformTypes(), 0.25
+)
+# (phi_1 and 1 - phi_2 round to 1 and 0 here)
+NEAR_STEP = rv.TabulatedTypes(((-0.5, 0.0), (-0.3, 1e-300), (0.3, 1 - 1e-16), (0.5, 1.0)))
+# every sender recommends buying, and q_L = 0: every dont-buy weight is 0,
+# though the masses sum to 1 - 1.1e-16 and so 1 - pi_buy is 1.1e-16
+ALWAYS_BUY = rv.RecommendationSystem(
+    rv.QualityDistribution(0.15252794647499454, 0.23353278450004372, 0.6139392690249617, 0.0),
+    NEAR_STEP,
+    0.1,
+)
+
+
+def run_cli(tmp_path_factory, system, *argv):
+    """Exit status, stdout and stderr of one CLI command on ``system``."""
+    doc = {
+        "quality": dict(zip(("qH", "q1", "q2", "qL"), system.quality.as_tuple())),
+        "sender_types": system.sender_types.spec(),
+        "receiver_types": system.receiver_types.spec(),
+        "threshold": system.threshold,
+    }
+    path = tmp_path_factory.mktemp("edge") / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([argv[0], "--scenario", str(path), *argv[1:]])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_a_subnormal_buy_effect_collapses_to_all_without_overflow(tmp_path_factory):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = rv.system_values(SUBNORMAL, [0.25])
+        report = rv.system_value(SUBNORMAL)
+        assert batch.report(0) == report
+        assert report.region.kind == "all"
+        # a Q sweep of masses (1, 1, 0.25, 1) / 3.25 whose one point is SUBNORMAL
+        masses = rv.QualityDistribution(*(m / 3.25 for m in (1.0, 1.0, 0.25, 1.0)))
+        scenario = rv.RecommendationSystem(masses, rv.UniformTypes(), 0.25)
+        sweep = ("sweep", "--param", "Q", "--from", "5e-324", "--to", "0", "--steps", "1")
+        code, out, err = run_cli(tmp_path_factory, scenario, *sweep)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == [
+        {"param": 5e-324, "value": float(f"{report.value:.12g}"), "pi_buy": 0.5, "region": "all"}
+    ]
+
+
+def test_an_unreachable_dont_buy_report_gives_the_all_buy_value(tmp_path_factory):
+    report = rv.system_value(ALWAYS_BUY)
+    assert report.dont_effects is None
+    assert (report.region.kind, report.rejecting_contribution) == ("all", 0.0)
+    assert rv.system_values(ALWAYS_BUY, [0.1]).report(0) == report
+    u_0 = rv.value_no_rec(0.2, ALWAYS_BUY.quality)
+    assert rv.value_rejecting(ALWAYS_BUY, 0.2) == u_0
+    code, out, err = run_cli(tmp_path_factory, ALWAYS_BUY, "evaluate")
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert (record["delta_O_D"], record["delta_S_D"]) == (None, None)
+    assert record["value"] == float(f"{report.value:.12g}")
+
+
+def test_a_zero_subjective_effect_lets_every_type_accept(tmp_path_factory):
+    # the masses sum to 1 + 9e-13 and every sender recommends buying: the buy
+    # effects are rounding, the subjective one exactly 0 and the objective one
+    # below -REGION_EPS / 2, so the all-accept test alone does not pass them
+    quality = rv.QualityDistribution(0.5 + 9e-13, 0.25, 0.25, 0.0)
+    system = rv.RecommendationSystem(quality, NEAR_STEP, 0.05)
+    report = rv.system_value(system)  # no scalar cutoff: it would divide by 0
+    assert report.buy_effects.subjective == 0.0
+    assert report.buy_effects.objective < -rv.receiver.REGION_EPS / 2
+    assert report.region.kind == "all"
+    assert rv.system_values(system, [0.05]).report(0) == report
+    code, _, err = run_cli(tmp_path_factory, system, "evaluate")
+    assert (code, err) == (0, "")
+
+
+@st.composite
+def edge_qualities(draw):
+    """Valid priors at the edges: zero or subnormal masses (q_H or q_L often
+    0), and masses whose float sum misses 1 by up to three ulps."""
+    tiny = st.sampled_from([0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-17])
+    masses = [draw(tiny | st.floats(0.01, 1.0)) for _ in range(4)]
+    if draw(st.booleans()):
+        masses[draw(st.sampled_from([0, 3]))] = 0.0
+    big = [k for k, m in enumerate(masses) if m >= 0.01] or [draw(st.integers(0, 3))]
+    small = sum(m for k, m in enumerate(masses) if k not in big)
+    total = sum(max(masses[k], 0.01) for k in big)
+    for k in big:
+        masses[k] = max(masses[k], 0.01) * (1.0 - small) / total
+    k = max(big, key=masses.__getitem__)
+    for toward in draw(st.lists(st.sampled_from([0.0, 2.0]), max_size=3)):
+        masses[k] = float(np.nextafter(masses[k], toward))
+    return rv.QualityDistribution(*masses)
+
+
+edge_types = any_types | st.just(NEAR_STEP)
+edge_thresholds = st.floats(0.01, 0.99) | st.sampled_from([1e-9, 0.05, 0.1, 0.25, 0.5, 1 - 1e-9])
+EDGE_COMMANDS = [
+    ("evaluate",),
+    ("sweep", "--param", "Q", "--from", "5e-324", "--to", "0.49", "--steps", "3"),
+    ("sweep", "--param", "R", "--steps", "3"),
+]
+
+
+@given(edge_qualities(), edge_types, st.none() | edge_types, edge_thresholds)
+@settings(max_examples=60, deadline=None)
+@example(SUBNORMAL.quality, SUBNORMAL.sender_types, None, 0.25)
+@example(ALWAYS_BUY.quality, NEAR_STEP, None, 0.1)
+@example(rv.QualityDistribution(0.5 + 9e-13, 0.25, 0.25, 0.0), NEAR_STEP, None, 0.05)
+def test_edge_qualities_end_in_a_value_or_a_model_error(
+    tmp_path_factory, quality, sender, receiver, threshold
+):
+    system = rv.RecommendationSystem(quality, sender, threshold, receiver)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in (
+            lambda: rv.system_value(system).value,
+            lambda: rv.system_values(system, [threshold]).value[0],
+        ):
+            try:
+                assert math.isfinite(value())
+            except ModelError:
+                pass
+        for argv in EDGE_COMMANDS:
+            code, _, err = run_cli(tmp_path_factory, system, *argv)
+            if code == 0:
+                assert err == ""
+            else:
+                assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
 
 
 # -- sweeps of Q, sigma and the sender exponent ---------------------------------
