@@ -18,7 +18,13 @@ import numpy as np
 
 from .core import RecommendationSystem
 from .distributions import PowerTypes
-from .errors import ClosedFormInapplicableError, ModelError
+from .errors import (
+    ClosedFormInapplicableError,
+    ModelError,
+    require_finite,
+    require_integers,
+    require_positive,
+)
 from .receiver import acceptance_region
 from .value import quality_from_params, system_value, system_values
 
@@ -92,12 +98,15 @@ class PrevalenceVerdict:
 
 def symmetric_slope(prevalence: float, good_odds: float) -> float:
     """Derivative of the symmetric value in the buy share."""
+    require_finite("prevalence", prevalence)
+    require_positive("good odds", good_odds)
     q, s = prevalence, good_odds
     return q * (1.0 - 2.0 * q) * (1.0 - s) / (1.0 + s)
 
 
 def monotonicity_class_symmetric(good_odds: float) -> str:
     """Monotonicity of the value in the threshold, symmetric population."""
+    require_positive("good odds", good_odds)
     if abs(good_odds - 1.0) < 1e-12:
         return CONSTANT
     return INCREASING if good_odds > 1.0 else DECREASING
@@ -106,6 +115,8 @@ def monotonicity_class_symmetric(good_odds: float) -> str:
 def closed_form_coefficients(
     a: float, prevalence: float, good_odds: float
 ) -> ClosedFormCoefficients:
+    require_positive("shape exponent and good odds", a, good_odds)
+    require_finite("prevalence", prevalence)
     q, s = prevalence, good_odds
     shift = (a + 1.0) * (q * (s - 1.0) - s) / (s + 1.0)
     return ClosedFormCoefficients(
@@ -153,8 +164,9 @@ def interior_conditions(a: float, prevalence: float, good_odds: float) -> str:
     interior band the limit argument loses force and the answer is
     "indeterminate".
     """
-    if a <= 0.0 or not 0.0 <= prevalence < 0.5 or good_odds <= 0.0:
-        raise ModelError("need a > 0, prevalence in [0, 1/2), positive odds")
+    require_positive("shape exponent and good odds", a, good_odds)
+    if not 0.0 <= prevalence < 0.5:
+        raise ModelError(f"prevalence must lie in [0, 1/2), got {prevalence}")
     band = _interior_band(a, prevalence)
     if band is None or band[0] <= good_odds <= band[1]:
         return "interior"
@@ -193,6 +205,7 @@ def optimize_threshold(
     higher.  An optimum within the edge margin of either end is reported
     as the matching monotone verdict instead of an interior optimum.
     """
+    require_integers("grid points", grid_points)
     if grid_points < 2:
         raise ModelError(f"need at least 2 grid points, got {grid_points}")
     if grid_points > MAX_GRID_POINTS:
@@ -243,6 +256,7 @@ def polarization_effect(good_odds: float, threshold: float) -> str:
         )
     if not 0.0 < threshold < 1.0:
         raise ModelError(f"threshold {threshold} outside (0, 1)")
+    require_positive("good odds", good_odds)
     if good_odds == 1.0:
         return "neutral"
     value_rises_with_share = good_odds < 1.0
@@ -256,8 +270,9 @@ def prevalence_statics(good_odds: float, buy_share: float) -> PrevalenceVerdict:
     The value is quadratic in the share; it is either decreasing
     throughout or maximized at an interior share q_star in (0, 1/2).
     """
-    if good_odds <= 0.0 or not 0.0 <= buy_share <= 1.0:
-        raise ModelError("need positive odds and buy share in [0, 1]")
+    require_positive("good odds", good_odds)
+    if not 0.0 <= buy_share <= 1.0:
+        raise ModelError(f"buy share must lie in [0, 1], got {buy_share}")
     s, b = good_odds, buy_share
     disc = 3.0 * s - b - s * s + s * s * b
     if disc >= 0.0:
@@ -302,6 +317,9 @@ def region_map(
     """
     if kind not in REGION_MAPS:
         raise ModelError(f"unknown region map kind {kind!r}")
+    require_integers("grid points", steps)
+    if steps < 1:
+        raise ModelError(f"need at least 1 grid point, got {steps}")
     if steps > MAX_GRID_POINTS:
         raise ModelError(f"need at most {MAX_GRID_POINTS} grid points, got {steps}")
     x_from = 0.05 if x_from is None else x_from

@@ -79,7 +79,9 @@ class TypeDistribution:
 
 def _clip(x):
     """``x`` clipped into [LO, HI]; ``np.clip`` without the Python-level
-    dispatch that dominates small inputs."""
+    dispatch that dominates small inputs, and no ufunc for a float."""
+    if isinstance(x, float):
+        return min(max(x, LO), HI)
     return np.minimum(np.maximum(x, LO), HI)
 
 

@@ -39,6 +39,13 @@ def require_finite(what: str, *values) -> None:
             raise ModelError(f"{what} must be finite, got {v}")
 
 
+def require_positive(what: str, *values) -> None:
+    """Raise ModelError unless every value is finite and above 0."""
+    for v in values:
+        if not 0.0 < v < math.inf:
+            raise ModelError(f"{what} must be finite and positive, got {v}")
+
+
 def require_integers(what: str, *values) -> None:
     """Raise ModelError unless every value is an integer (not a bool, and
     not a float, which would be silently truncated)."""

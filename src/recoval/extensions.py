@@ -32,9 +32,11 @@ from .errors import (
     IndeterminateConfigurationError,
     ModelError,
     UnsupportedConfigurationError,
+    require_finite,
     require_integers,
+    require_positive,
 )
-from .value import ValueReport, symmetric_value, system_value
+from .value import ValueReport, _closed, symmetric_value, system_value
 
 _EQUALITY_TOL = 1e-12
 
@@ -120,6 +122,7 @@ def distinct_monotonicity(
     Compares the good/bad odds with a tipping ratio built from the
     controversial split and the receiver population's mean type.
     """
+    require_finite("receiver mean", receiver_mean)
     prevalence = quality.prevalence
     if prevalence <= 0.0:
         raise ModelError("monotonicity ratio needs controversial products")
@@ -192,12 +195,9 @@ def _controversial_gain_integral(
         return 0.0
     const = 0.5 * (q.q_l - q.q_h)
     slope = (1.0 - both) * (q.q_1 - q.q_2) / both
-    cutoff = min(max(neutral_indifferent_type(quality), LO), HI)
+    cutoff = neutral_indifferent_type(quality)
     lo, hi = (cutoff, HI) if q.q_1 >= q.q_2 else (LO, cutoff)
-    if hi <= lo:
-        return 0.0
-    mass = dist.cdf(hi) - dist.cdf(lo)
-    return const * mass + slope * dist.partial_expectation(lo, hi)
+    return float(_closed(dist, lo, hi, const, slope))
 
 
 def two_threshold_value(
@@ -341,9 +341,8 @@ def infinite_no_gain(controversial_odds: float, good_odds: float) -> bool:
     controversial odds and its reciprocal.  Band endpoints count as
     inside (gain treated as possible).
     """
+    require_positive("odds", controversial_odds, good_odds)
     lam, sigma = controversial_odds, good_odds
-    if lam <= 0.0 or sigma <= 0.0:
-        raise ModelError("odds must be positive")
     if lam == 1.0:
         return True
     lo, hi = min(lam, 1.0 / lam), max(lam, 1.0 / lam)

@@ -3,13 +3,14 @@
 Samples products, sender types and receiver types, simulates the
 mechanical sender rule and the receiver's optimal response, and reports
 empirical estimates with standard errors.  The sample index space is
-partitioned into fixed 65536-sample blocks; block ``j`` draws from a
-counter-based Philox stream jumped ``j`` times from the seed, and block
-results fold into running totals in block order.  Estimates are thus
-bit-identical for a given (seed, sample count) whatever the number of
-worker threads, and memory does not grow with the sample count.  Worker
-parallelism is capped by the ``RECO_THREADS`` environment variable (0 or
-unset = auto; anything but a non-negative integer is a ``ModelError``).
+partitioned into fixed 65536-sample blocks; block ``j`` draws from the
+seed's counter-based Philox stream started at counter (0, 0, j, 0), which
+is the stream jumped ``j`` times, and block results fold into running
+totals in block order.  Estimates are thus bit-identical for a given
+(seed, sample count) whatever the number of worker threads, and memory
+does not grow with the sample count.  Worker parallelism is capped by the
+``RECO_THREADS`` environment variable (0 or unset = auto; anything but a
+non-negative integer is a ``ModelError``).
 
 ``estimate_single`` takes the buy probability, both posterior tables and
 the value from one pass; CLI ``simulate`` on one threshold makes that
@@ -142,7 +143,8 @@ def _run_blocks(seed: int, total: int, block_fn):
     key = seed & 0xFFFFFFFFFFFFFFFF  # Philox keys are unsigned
 
     def run(block_index):
-        rng = np.random.Generator(np.random.Philox(key=key).jumped(block_index))
+        counter = [0, 0, block_index, 0]  # as jumped(block_index), one bit generator
+        rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
         return block_fn(rng, min(BLOCK_SIZE, total - block_index * BLOCK_SIZE))
 
     def merge(acc, part):

@@ -118,29 +118,17 @@ def region_arrays(objective, subjective) -> tuple[np.ndarray, np.ndarray]:
     means buy recommendations favor version (1, 0): high types accept.
     """
     nan = np.full(objective.shape, np.nan)
-    # all-accept test first, as in acceptance_region: o / 1e-323 can overflow
+    # all-accept test first: o / 1e-323 can overflow
     divide = ~(np.abs(subjective) <= 2.0 * objective + REGION_EPS) & (subjective != 0.0)
     cutoff = np.divide(objective, subjective, out=nan, where=divide)
     favors_1 = subjective < 0.0
-    upper = favors_1 & ~(cutoff <= -0.5)
-    lower = ~favors_1 & ~(cutoff >= 0.5)
-    everyone = ~divide | ~(upper | lower)
-    kind = np.where(everyone, ALL, np.where(upper, UPPER, LOWER))
+    everyone = ~divide | np.where(favors_1, cutoff <= -0.5, cutoff >= 0.5)
+    kind = np.where(everyone, ALL, np.where(favors_1, UPPER, LOWER))
     return kind, np.where(everyone, np.nan, cutoff)
 
 
 def acceptance_region(system: RecommendationSystem) -> AcceptanceRegion:
     """Classify which types accept, collapsing out-of-range cutoffs."""
     eff = effects(system, Recommendation.BUY)
-    d_o, d_s = eff.objective, eff.subjective
-    if abs(d_s) <= 2.0 * d_o + REGION_EPS or d_s == 0.0:
-        return AcceptanceRegion(kind="all")
-    cutoff = d_o / d_s
-    if d_s < 0.0:
-        # buy recommendations favor version (1, 0): high types accept
-        if cutoff <= -0.5:
-            return AcceptanceRegion(kind="all")
-        return AcceptanceRegion(kind="upper", cutoff=cutoff)
-    if cutoff >= 0.5:
-        return AcceptanceRegion(kind="all")
-    return AcceptanceRegion(kind="lower", cutoff=cutoff)
+    pair = np.array([[eff.objective], [eff.subjective]])
+    return AcceptanceRegion.from_arrays(*region_arrays(*pair), 0)

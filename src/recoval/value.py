@@ -1,16 +1,16 @@
 """Value of a recommendation system to a randomly drawn receiver.
 
 The value is the expected payoff gain from one random sender's
-recommendation relative to choosing on priors alone.  One core,
-:func:`value_core`, computes it at an array of points, each with its own
-prior masses, version buy probabilities and threshold, against one
-receiver distribution: :func:`system_values` feeds it a threshold grid,
-and CLI ``sweep`` a grid of Q, sigma or sender exponents.  A scalar
-route, :func:`system_value`, does one threshold.  Both compute the value
-two ways at every point: a case-based closed form driven by the
-acceptance region, and an independent integral of the per-type payoff
-gains against the receiver distribution (quadrature on the CDF).  The
-two routes must agree to 1e-9 at every point or the call fails loudly.
+recommendation over choosing on priors alone.  A type's gain is linear
+in the type on each side of the acceptance cutoff, so the value sums
+linear integrals against the receiver CDF, taken by truncated means (the
+closed form) and, independently, by parts with quadrature on the CDF;
+the two must agree to 1e-9 at every point or the call fails loudly.  One
+set of rules serves two entry points: :func:`value_core` on arrays of
+points (:func:`system_values`, CLI ``sweep``) and :func:`system_value` on
+the scalar API's results at one threshold.  The latter builds its pieces
+twice, itself and in :func:`integral_system_value`, because ``perfbench``
+pins the calls per value (8 version buy probabilities, 6 effect pairs).
 """
 
 from __future__ import annotations
@@ -27,15 +27,22 @@ from .core import (
     QualityDistribution,
     Recommendation,
     RecommendationSystem,
+    _posterior_weights,
     posterior,
     posterior_probs,
     recommendation_probabilities,
     version_buy_probabilities,
 )
-from .distributions import HI, LO, TypeDistribution
-from .errors import ModelError, UnreachableRecommendationError
+from .distributions import HI, LO, TypeDistribution, _clip
+from .errors import (
+    ModelError,
+    UnreachableRecommendationError,
+    require_finite,
+    require_positive,
+)
 from .receiver import (
     ALL,
+    REGION_KINDS,
     UPPER,
     AcceptanceRegion,
     EffectPair,
@@ -169,47 +176,71 @@ def value_core(masses, phi_1, phi_2, thresholds, dist: TypeDistribution) -> Valu
     Point k has prior masses ``masses[:, k]`` (a (4, n) array), version
     buy probabilities ``phi_1[k]`` and ``phi_2[k]`` and threshold
     ``thresholds[k]`` (arrays of n; the threshold is named in errors); all
-    points share the receiver distribution ``dist``.  The payoff gain of a
-    type is pi_buy (dO_B - i dS_B) where it accepts and pi_dont
-    (dO_D - i dS_D) where it rejects: linear in i on each side of the
-    region cutoff, so the value is a sum of linear integrals against the
-    receiver CDF.  The closed form uses truncated means; the integral route
-    reduces the integrals by parts and does the CDF integral by adaptive
-    Simpson quadrature (tolerance 1e-10), split at the CDF's breakpoints.
-    If the routes differ by more than 1e-9 at any point, the batch raises.
+    points share the receiver distribution ``dist``.  An accepting type
+    gains pi_buy (dO_B - i dS_B), a rejecting one pi_dont (dO_D - i dS_D).
     """
-    n = thresholds.size
-    q_h, q_1, q_2, q_l = masses
-    pi_buy = q_h + q_1 * phi_1 + q_2 * phi_2
-    pi_dont = 1.0 - pi_buy
-    # gated on the dont-buy weights: pi_dont can be an ulp above 0 without them
-    has_dont = q_1 * (1.0 - phi_1) + q_2 * (1.0 - phi_2) + q_l > 0.0
-    effects = np.full((4, n), np.nan)
+    pi_buy = sum(_posterior_weights(masses, phi_1, phi_2, Recommendation.BUY)[1])
+    # gated on the dont-buy weights: 1 - pi_buy can be an ulp above 0 without them
+    dont_weights = _posterior_weights(masses, phi_1, phi_2, Recommendation.DONT_BUY)[1]
+    has_dont = sum(dont_weights) > 0.0
+    effects = np.full((4, thresholds.size), np.nan)
     buy = posterior_probs(masses, phi_1, phi_2, Recommendation.BUY)
     effects[:2] = effect_arrays(masses, buy)
     q = masses[:, has_dont]
     dont = posterior_probs(q, phi_1[has_dont], phi_2[has_dont], Recommendation.DONT_BUY)
     effects[2:, has_dont] = effect_arrays(q, dont)
+    region, cutoff = region_arrays(effects[0], effects[1])
+    a, b, const, slope, accepts = _pieces(pi_buy, has_dont, effects, region, cutoff)
+    accepting, rejecting, value = _split(_closed(dist, a, b, const, slope), accepts)
+    integral = _integral(dist, a, b, const, slope)
+    _gate(value, integral, thresholds)
+    return ValueBatch(
+        value, integral, pi_buy, effects, region, cutoff, accepting, rejecting
+    )
+
+
+def _pieces(pi_buy, has_dont, effects, region, cutoff):
+    """Pieces [LO, c] and [c, HI] of the type gain: ends a, b, gain const + slope i
+    and whether the types accept.  The first accepts unless high types do; where
+    all accept, c is HI; without a dont-buy report rejecting types gain nothing."""
     o_b, s_b, o_d, s_d = effects
-    region, cutoff = region_arrays(o_b, s_b)
-    # two pieces per threshold, [LO, c] and [c, HI] (empty where all
-    # accept); the types on the first accept unless high types do
-    lo, hi, c = np.full(n, LO), np.full(n, HI), np.where(region == ALL, HI, cutoff)
-    a, b = np.array((lo, c)), np.array((c, hi))
+    pi_dont = 1.0 - pi_buy
+    c = np.where(region == ALL, HI, cutoff)
+    a, b = np.array((np.full_like(c, LO), c)), np.array((c, np.full_like(c, HI)))
     accepts = np.array((region != UPPER, region == UPPER))
     const = np.where(accepts, pi_buy * o_b, np.where(has_dont, pi_dont * o_d, 0.0))
     slope = np.where(accepts, -pi_buy * s_b, np.where(has_dont, -pi_dont * s_d, 0.0))
-    f_a, f_b = dist.cdf(a), dist.cdf(b)  # the CDF clips to the type interval
-    c = np.minimum(np.maximum(c, LO), HI)
-    truncated = dist.partial_expectation(np.array((lo, c)), np.array((c, hi)))
-    mass = f_b - f_a
-    closed = np.where(b > a, const * mass + slope * truncated, 0.0)
+    return a, b, const, slope, accepts
+
+
+def _split(closed, accepts):
+    """The accepting and the rejecting types' parts of the value, and the value."""
     accepting = np.where(accepts, closed, 0.0).sum(axis=0)
     rejecting = np.where(accepts, 0.0, closed).sum(axis=0)
-    value = accepting + rejecting
-    tail = _cdf_integral(dist, a, b)
-    parts = np.where(b > a, const * mass + slope * (b * f_b - a * f_a - tail), 0.0)
-    integral = 0.0 + parts[0] + parts[1]
+    return accepting, rejecting, accepting + rejecting
+
+
+def _closed(dist: TypeDistribution, a, b, const, slope):
+    """Integral of const + slope i against ``dist`` over each piece [a, b], clipped
+    to the type interval, by mass and truncated mean; +0.0 for an empty piece."""
+    a, b = _clip(a), _clip(b)
+    mass = dist.cdf(b) - dist.cdf(a)
+    return np.where(b > a, const * mass + slope * dist.partial_expectation(a, b), 0.0)
+
+
+def _integral(dist: TypeDistribution, a, b, const, slope):
+    """The same integrals summed, independently: by parts, i dF integrates to
+    b F(b) - a F(a) minus the integral of F (:func:`_cdf_integral`)."""
+    a, b = _clip(a), _clip(b)
+    f_a, f_b = dist.cdf(a), dist.cdf(b)
+    by_parts = b * f_b - a * f_a - _cdf_integral(dist, a, b)
+    parts = np.where(b > a, const * (f_b - f_a) + slope * by_parts, 0.0)
+    return 0.0 + parts[0] + parts[1]
+
+
+def _gate(value, integral, thresholds) -> None:
+    """Raise unless the closed form and the integral agree to 1e-9 everywhere."""
+    value, integral, thresholds = np.atleast_1d(value, integral, thresholds)
     agree = np.abs(value - integral) <= _AGREEMENT_TOL
     if not agree.all():
         k = int(np.argmin(agree))
@@ -217,9 +248,6 @@ def value_core(masses, phi_1, phi_2, thresholds, dist: TypeDistribution) -> Valu
             f"closed-form value {value[k]} disagrees with integral {integral[k]}"
             f" at threshold {thresholds[k]}"
         )
-    return ValueBatch(
-        value, integral, pi_buy, effects, region, cutoff, accepting, rejecting
-    )
 
 
 def _cdf_integral(dist: TypeDistribution, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -239,58 +267,36 @@ def _cdf_integral(dist: TypeDistribution, a: np.ndarray, b: np.ndarray) -> np.nd
 
 
 def _linear_pieces(system):
-    """Non-empty linear integrands (a, b, const, slope, label) of the type gain.
-
-    The scalar counterpart of the pieces :func:`system_values` builds,
-    assembled from the public scalar API.
-    """
-    pi_buy, pi_dont = recommendation_probabilities(system)
+    """:func:`_pieces` at the threshold of ``system``, from the scalar API,
+    with the report's pi_buy, effects and region."""
+    pi_buy, _ = recommendation_probabilities(system)
     eff_b = effects(system, Recommendation.BUY)
     eff_d = None
-    reject = (0.0, 0.0, "reject")
     with suppress(UnreachableRecommendationError):  # unless every dont-buy weight is 0
         eff_d = effects(system, Recommendation.DONT_BUY)
-        reject = (pi_dont * eff_d.objective, -pi_dont * eff_d.subjective, "reject")
     region = acceptance_region(system)
-    accept = (pi_buy * eff_b.objective, -pi_buy * eff_b.subjective, "accept")
-    # [LO, c] and [c, HI], dropped where empty (the second where all accept)
-    c = HI if region.kind == "all" else region.cutoff
-    first, second = (reject, accept) if region.kind == "upper" else (accept, reject)
-    pieces = [(LO, c, *first), (c, HI, *second)]
-    return [p for p in pieces if p[1] > p[0]], pi_buy, eff_b, eff_d, region
+    dont = (np.nan, np.nan) if eff_d is None else (eff_d.objective, eff_d.subjective)
+    gain = (eff_b.objective, eff_b.subjective, *dont)
+    kind = REGION_KINDS.index(region.kind)
+    cutoff = HI if region.cutoff is None else region.cutoff
+    pieces = _pieces(pi_buy, eff_d is not None, gain, kind, cutoff)
+    return pieces, pi_buy, eff_b, eff_d, region
 
 
 def integral_system_value(system: RecommendationSystem) -> float:
-    """System value at one threshold by the independent integral route.
-
-    Rebuilds its pieces from the scalar API rather than sharing them with
-    the closed form of :func:`system_value`.
-    """
-    pieces, *_ = _linear_pieces(system)
-    dist = system.receiver_types
-    ends = np.array([piece[:2] for piece in pieces]).T
-    tails = _cdf_integral(dist, *ends).tolist()
-    total = 0.0
-    for (a, b, const, slope, _label), tail in zip(pieces, tails):
-        f_a, f_b = dist.cdf(a), dist.cdf(b)
-        total += const * (f_b - f_a) + slope * (b * f_b - a * f_a - tail)
-    return total
+    """System value at one threshold by the independent integral route, on
+    pieces it builds again rather than share with :func:`system_value`."""
+    (a, b, const, slope, _), *_ = _linear_pieces(system)
+    return float(_integral(system.receiver_types, a, b, const, slope))
 
 
 def system_value(system: RecommendationSystem) -> ValueReport:
     """Closed-form system value at one threshold, cross-checked against
     :func:`integral_system_value`; :func:`system_values` does many at once."""
-    pieces, pi_buy, eff_b, eff_d, region = _linear_pieces(system)
-    dist = system.receiver_types
-    parts = {"accept": 0.0, "reject": 0.0}
-    for a, b, const, slope, label in pieces:
-        mass = dist.cdf(b) - dist.cdf(a)
-        parts[label] += const * mass + slope * dist.partial_expectation(a, b)
-    accepting, rejecting = parts["accept"], parts["reject"]
-    value = accepting + rejecting
-    check = integral_system_value(system)
-    if abs(value - check) > _AGREEMENT_TOL:
-        raise ModelError(f"closed-form value {value} disagrees with integral {check}")
+    (a, b, const, slope, accepts), pi_buy, eff_b, eff_d, region = _linear_pieces(system)
+    closed = _closed(system.receiver_types, a, b, const, slope)
+    accepting, rejecting, value = map(float, _split(closed, accepts))
+    _gate(value, integral_system_value(system), system.threshold)
     return ValueReport(
         value=value,
         pi_buy=pi_buy,
@@ -311,8 +317,7 @@ def symmetric_value(prevalence: float, good_odds: float, buy_share: float) -> fl
     """
     if not 0.0 <= prevalence < 0.5:
         raise ModelError(f"prevalence must lie in [0, 1/2), got {prevalence}")
-    if not good_odds > 0.0:
-        raise ModelError(f"good odds must be positive, got {good_odds}")
+    require_positive("good odds", good_odds)
     if not 0.0 <= buy_share <= 1.0:
         raise ModelError(f"buy share must lie in [0, 1], got {buy_share}")
     q, s, b = prevalence, good_odds, buy_share
@@ -323,6 +328,8 @@ def symmetric_buy_probability(
     prevalence: float, good_odds: float, buy_share: float
 ) -> float:
     """Buy-recommendation probability in the reduced parameterization."""
+    require_finite("prevalence and buy share", prevalence, buy_share)
+    require_positive("good odds", good_odds)
     return (1.0 - 2.0 * prevalence) * good_odds / (1.0 + good_odds) + (
         2.0 * prevalence * buy_share
     )

@@ -1,16 +1,17 @@
 """Threshold design: monotonicity, closed form, optimization, statics."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import recoval as rv
 from recoval import design
 from recoval.design import _objective_effect_symmetric
-from recoval.errors import ClosedFormInapplicableError
+from recoval.errors import ClosedFormInapplicableError, ModelError
 
 from conftest import random_symmetric_tabulated
 
@@ -258,6 +259,19 @@ class TestOptimizeThreshold:
             with pytest.raises(rv.ModelError, match="grid points"):
                 rv.optimize_threshold(system, grid_points=points)
 
+    def test_rejects_grid_sizes_that_are_not_integers(self):
+        system = rv.symmetric_system(0.2, 2.0, rv.UniformTypes(), 0.5)
+        for points in (2.5, math.nan, True):
+            with pytest.raises(rv.ModelError, match="grid points"):
+                rv.optimize_threshold(system, grid_points=points)
+            with pytest.raises(rv.ModelError, match="grid points"):
+                rv.region_map("panelA", steps=points)
+
+    def test_region_maps_need_at_least_one_step(self):
+        for steps in (0, -1):
+            with pytest.raises(rv.ModelError, match="at least 1 grid point"):
+                rv.region_map("panelA", steps=steps)
+
     def test_quasiconcave_in_all_accept_regime(self):
         # discrete differences change sign at most once on the grid
         rng = np.random.default_rng(101)
@@ -483,3 +497,56 @@ class TestFiniteDifferenceSlopeSigns:
                     - rv.system_value(system.with_threshold(r - h)).value
                 ) / (2.0 * h)
                 assert slope > 0.0
+
+
+# -- closed-form helpers at awkward inputs ------------------------------------------
+
+QUALITY = rv.QualityDistribution(0.3, 0.25, 0.15, 0.3)
+HELPERS = {
+    "symmetric_slope": rv.symmetric_slope,
+    "monotonicity_class_symmetric": rv.monotonicity_class_symmetric,
+    "closed_form_coefficients": rv.closed_form_coefficients,
+    "interior_conditions": rv.interior_conditions,
+    "polarization_effect": rv.polarization_effect,
+    "prevalence_statics": rv.prevalence_statics,
+    "symmetric_value": rv.symmetric_value,
+    "symmetric_buy_probability": rv.symmetric_buy_probability,
+    "infinite_no_gain": rv.infinite_no_gain,
+    "distinct_monotonicity": lambda mean: rv.distinct_monotonicity(QUALITY, mean),
+}
+awkward = (
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0])
+    | st.floats(1e-6, 1e6)
+    | st.floats(-1e6, -1e-6)
+)
+
+
+def is_result(out) -> bool:
+    """A finite number, a verdict, or a record of them."""
+    if isinstance(out, (str, bool)):
+        return True
+    if isinstance(out, float):
+        return math.isfinite(out)
+    return all(is_result(v) for v in vars(out).values() if v is not None)
+
+
+@given(st.sampled_from(sorted(HELPERS)), st.lists(awkward, min_size=3, max_size=3))
+@settings(max_examples=300, deadline=None)
+@example("symmetric_slope", [0.2, -1.0, 0.0])
+@example("closed_form_coefficients", [2.0, 0.2, -1.0])
+@example("symmetric_buy_probability", [0.2, -1.0, 3.0])
+@example("interior_conditions", [math.nan, 0.2, 2.0])
+@example("prevalence_statics", [math.nan, 0.5, 0.0])
+@example("monotonicity_class_symmetric", [math.nan, 0.0, 0.0])
+@example("infinite_no_gain", [math.nan, 1.0, 0.0])
+@example("polarization_effect", [-1.0, 0.3, 0.0])
+@example("symmetric_value", [0.2, math.inf, 0.5])
+@example("distinct_monotonicity", [math.nan, 0.0, 0.0])
+def test_closed_form_helpers_end_in_a_result_or_a_model_error(name, args):
+    helper = HELPERS[name]
+    arity = len(inspect.signature(helper).parameters)
+    try:
+        out = helper(*args[:arity])
+    except ModelError:
+        return
+    assert is_result(out)

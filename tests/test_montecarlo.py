@@ -25,6 +25,10 @@ UNIFORM = rv.UniformTypes()
 FAST = rv.SimulationConfig(samples=50_000, seed=7)
 
 
+def philox_state(bit_generator) -> str:
+    return json.dumps(bit_generator.state, default=lambda a: a.tolist(), sort_keys=True)
+
+
 def within(est: rv.EstimateWithError, truth: float, sigmas: float = 3.0) -> bool:
     return abs(est.estimate - truth) <= sigmas * est.stderr + 1e-15
 
@@ -56,6 +60,24 @@ class TestDeterminism:
         threaded = rv.estimate_value(S1, FAST)
         assert serial.estimate == threaded.estimate
         assert serial.stderr == threaded.stderr
+
+    @pytest.mark.parametrize("key", [0, 7, 123456789, 2**64 - 1])
+    def test_each_block_draws_the_seed_stream_jumped_to_its_index(self, key, monkeypatch):
+        monkeypatch.setenv("RECO_THREADS", "1")
+        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 1)
+        seen = []
+        montecarlo._run_blocks(key, 17, lambda rng, count: seen.append(rng) or (count,))
+        assert [philox_state(rng.bit_generator) for rng in seen] == [
+            philox_state(np.random.Philox(key=key).jumped(j)) for j in range(17)
+        ]
+        # the counter that _run_blocks gives block j equals j jumps for every
+        # block index below MAX_SAMPLES // BLOCK_SIZE = 2^20, and just beyond
+        for j in (0, 1, 2, 7, 15, 16, 1000, 2**20 - 1, 2**20):
+            counted = np.random.Philox(key=key, counter=[0, 0, j, 0])
+            jumped = np.random.Philox(key=key).jumped(j)
+            assert philox_state(counted) == philox_state(jumped)
+            draws = [np.random.Generator(bg).random(4000) for bg in (counted, jumped)]
+            assert np.array_equal(*draws)
 
     def test_seed_changes_results(self):
         other = rv.SimulationConfig(samples=50_000, seed=8)

@@ -12,6 +12,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import any_types, probability_vectors
+from conftest import any_types, probability_vectors, random_symmetric_tabulated
 
 import recoval as rv
 from recoval import _quadrature
@@ -659,6 +660,115 @@ def test_edge_qualities_end_in_a_value_or_a_model_error(
                 assert err == ""
             else:
                 assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
+
+
+# -- one implementation per rule of the value ---------------------------------------
+
+
+def test_a_wrong_closed_form_fails_both_routes_with_one_message(monkeypatch):
+    closed = rv.value._closed
+    monkeypatch.setattr(rv.value, "_closed", lambda *args: closed(*args) + 1e-8)
+    quality = rv.QualityDistribution(0.3, 0.4, 0.1, 0.2)
+    system = rv.RecommendationSystem(quality, rv.UniformTypes(), 0.3)
+    with pytest.raises(ModelError) as scalar:
+        rv.system_value(system)
+    with pytest.raises(ModelError) as batch:
+        rv.system_values(system, [0.3])
+    assert str(scalar.value) == str(batch.value)
+    gate = r"closed-form value \S+ disagrees with integral \S+ at threshold 0\.3"
+    assert re.fullmatch(gate, str(scalar.value))
+
+
+def parent_acceptance_region(d_o, d_s):
+    """The branches ``acceptance_region`` ran before it became
+    ``region_arrays`` on one effect pair."""
+    if abs(d_s) <= 2.0 * d_o + rv.receiver.REGION_EPS or d_s == 0.0:
+        return "all", None
+    cutoff = d_o / d_s
+    if d_s < 0.0:
+        return ("all", None) if cutoff <= -0.5 else ("upper", cutoff)
+    return ("all", None) if cutoff >= 0.5 else ("lower", cutoff)
+
+
+tiny_effects = st.sampled_from([0.0, -0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-13])
+signed_effects = (tiny_effects | st.floats(1e-6, 2.0)).flatmap(
+    lambda x: st.sampled_from([x, -x])
+)
+
+
+@given(signed_effects, signed_effects, st.booleans())
+@settings(max_examples=200, deadline=None)
+@example(0.25, -0.5 - 1e-12, True)
+@example(0.0, 5e-324, False)
+@example(1e-13, -1e-13, False)
+@example(-1e-6, 5e-324, False)
+def test_region_rule_on_one_pair_equals_the_scalar_branches(d_o, d_s, on_edge):
+    if on_edge:  # |s| = 2o + 1e-12: the all-accept test's boundary
+        d_s = math.copysign(2.0 * abs(d_o) + 1e-12, d_s)
+    pair = rv.EffectPair(d_o, d_s, rv.Recommendation.BUY)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rv.receiver, "effects", lambda system, rec: pair)
+        # a negative objective over a subnormal subjective effect overflows
+        # to an infinite cutoff in both rules; numpy also warns
+        with np.errstate(over="ignore"):
+            region = rv.acceptance_region(SUBNORMAL)
+    assert (region.kind, region.cutoff) == parent_acceptance_region(d_o, d_s)
+
+
+def parent_controversial_gain_integral(quality, dist):
+    """``extensions._controversial_gain_integral`` before it called
+    ``value._closed``."""
+    q = quality
+    both = q.q_1 + q.q_2
+    if both <= 0.0:
+        return 0.0
+    const = 0.5 * (q.q_l - q.q_h)
+    slope = (1.0 - both) * (q.q_1 - q.q_2) / both
+    cutoff = min(max(rv.neutral_indifferent_type(quality), LO), HI)
+    lo, hi = (cutoff, HI) if q.q_1 >= q.q_2 else (LO, cutoff)
+    if hi <= lo:
+        return 0.0
+    mass = dist.cdf(hi) - dist.cdf(lo)
+    return const * mass + slope * dist.partial_expectation(lo, hi)
+
+
+def extension_values(quality, dist, pair):
+    values = [rv.infinite_learning_value(quality, dist)]
+    if dist.symmetric:
+        values.append(rv.two_threshold_value(quality, dist, pair))
+        values.extend(rv.two_threshold_partials(quality, dist, pair))
+    return values
+
+
+symmetric_tabulated = st.integers(0, 2**32 - 1).map(
+    lambda seed: random_symmetric_tabulated(np.random.default_rng(seed))
+)
+even_splits = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 0.5)).map(
+    lambda t: ((1.0 - 2.0 * t[1]) * t[0], t[1], t[1], (1.0 - 2.0 * t[1]) * (1.0 - t[0]))
+)
+
+
+@given(
+    probability_vectors | even_splits,
+    any_types | symmetric_tabulated | st.just(rv.PowerTypes(1.0)),
+    st.floats(0.02, 0.98),
+    st.floats(0.0, 0.9),
+)
+@settings(max_examples=120, deadline=None)
+@example((0.5, 0.1, 0.4, 0.0), rv.UniformTypes(), 0.3, 0.5)  # no buyers: +0.0, not -0.0
+def test_extension_values_equal_the_parent_gain_integral(masses, dist, low, width):
+    quality = rv.QualityDistribution(*masses)
+    pair = rv.ThresholdPair(low, low + width * (1.0 - low))
+    got = extension_values(quality, dist, pair)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            rv.extensions, "_controversial_gain_integral", parent_controversial_gain_integral
+        )
+        want = extension_values(quality, dist, pair)
+    if isinstance(dist, rv.PowerTypes):
+        assert got == pytest.approx(want, rel=POWER_TOL, abs=POWER_TOL)
+    else:
+        assert list(map(repr, got)) == list(map(repr, want))  # the sign of 0 too
 
 
 # -- sweeps of Q, sigma and the sender exponent ---------------------------------
