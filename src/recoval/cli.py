@@ -166,29 +166,33 @@ def parse_scenario(text: str) -> Scenario:
         if "receiver_types" in data
         else sender
     )
-    spec = data["threshold"]
-    threshold = pair = counts = None
-    infinite = False
+    return Scenario(quality, sender, receiver, **_parse_threshold(data["threshold"]))
+
+
+def _parse_threshold(spec) -> dict:
+    """The threshold fields of a :class:`Scenario` from a threshold spec: a
+    number in (0, 1), {R1, R2}, {b, d, R} or "infinite"."""
+    fields = {"threshold": None, "pair": None, "counts": None, "infinite": False}
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        threshold = _require_number(spec, "threshold")
+        fields["threshold"] = threshold = _require_number(spec, "threshold")
         if not 0.0 < threshold < 1.0:
             raise ScenarioError(f"threshold: {threshold} out of (0, 1)")
     elif spec == "infinite":
-        infinite = True
+        fields["infinite"] = True
     elif isinstance(spec, dict) and set(spec) == {"R1", "R2"}:
         try:
-            pair = ThresholdPair(
+            fields["pair"] = ThresholdPair(
                 low=_require_number(spec["R1"], "threshold.R1"),
                 high=_require_number(spec["R2"], "threshold.R2"),
             )
         except ModelError as exc:
             raise ScenarioError(f"threshold: {exc}") from exc
     elif isinstance(spec, dict) and set(spec) == {"b", "d", "R"}:
-        threshold = _require_number(spec["R"], "threshold.R")
+        fields["threshold"] = threshold = _require_number(spec["R"], "threshold.R")
         if not 0.0 < threshold < 1.0:
             raise ScenarioError(f"threshold.R: {threshold} out of (0, 1)")
         try:
-            counts = MultiRecCount(buys=spec["b"], dont_buys=spec["d"])
+            fields["counts"] = MultiRecCount(buys=spec["b"], dont_buys=spec["d"])
         except ModelError as exc:
             raise ScenarioError(f"threshold: {exc}") from exc
     else:
@@ -196,15 +200,18 @@ def parse_scenario(text: str) -> Scenario:
             "threshold: expected a number in (0, 1), {R1, R2}, {b, d, R}, "
             'or "infinite"'
         )
-    return Scenario(
-        quality=quality,
-        sender_types=sender,
-        receiver_types=receiver,
-        threshold=threshold,
-        pair=pair,
-        counts=counts,
-        infinite=infinite,
-    )
+    return fields
+
+
+def _flag_threshold(args, scenario: Scenario):
+    """The threshold spec of --R1/--R2, --infinite or --b/--d, in that order."""
+    if args.r1 is not None or args.r2 is not None:
+        return {"R1": args.r1, "R2": args.r2}
+    if args.infinite:
+        return "infinite"
+    if args.b is not None or args.d is not None:
+        return {"b": args.b or 0, "d": args.d or 0, "R": scenario.threshold}
+    return None
 
 
 def _round12(x):
@@ -244,25 +251,21 @@ def _emit(payload, rows, args) -> str:
 
 
 def _cmd_evaluate(scenario: Scenario, args):
-    scenario = _apply_threshold_flags(scenario, args)
     if scenario.kind == "single":
         report = system_value(scenario.system())
         return report.to_record(), None
-    if scenario.kind == "pair":
-        _require_common_population(scenario)
-        shares = scenario.pair.buy_shares(scenario.sender_types)
-        record = {
-            "value": two_threshold_value(
-                scenario.quality, scenario.sender_types, scenario.pair
-            ),
-            "R1": scenario.pair.low,
-            "R2": scenario.pair.high,
-            "beta1": shares[0],
-            "beta2": shares[1],
-            "i_tilde_M": neutral_indifferent_type(scenario.quality),
-        }
-        return record, None
-    raise ScenarioError("evaluate handles single or {R1, R2} thresholds; see multi")
+    _require_common_population(scenario)
+    shares = scenario.pair.buy_shares(scenario.sender_types)
+    return {
+        "value": two_threshold_value(
+            scenario.quality, scenario.sender_types, scenario.pair
+        ),
+        "R1": scenario.pair.low,
+        "R2": scenario.pair.high,
+        "beta1": shares[0],
+        "beta2": shares[1],
+        "i_tilde_M": neutral_indifferent_type(scenario.quality),
+    }, None
 
 
 def _require_common_population(scenario: Scenario):
@@ -350,8 +353,6 @@ def _sweep_values(scenario: Scenario, param: str, grid):
 def _cmd_sweep(scenario: Scenario, args):
     if args.param is None:
         raise ScenarioError("sweep requires --param")
-    if scenario.kind != "single":
-        raise ScenarioError("sweep requires a single-threshold scenario")
     start, stop = _bounds(args)
     lo, hi = _SWEEP_DEFAULTS[args.param]
     lo = lo if start is None else start
@@ -445,7 +446,6 @@ def _mixed_shares(q: QualityDistribution) -> tuple:
 
 def _cmd_simulate(scenario: Scenario, args):
     config = SimulationConfig(samples=args.samples, seed=args.seed)
-    scenario = _apply_threshold_flags(scenario, args)
     handler = {
         "single": _simulate_single,
         "pair": _simulate_pair,
@@ -457,25 +457,7 @@ def _cmd_simulate(scenario: Scenario, args):
     return None, (("name", "estimate", "stderr", "n", "seed", "analytic"), rows)
 
 
-def _apply_threshold_flags(scenario: Scenario, args) -> Scenario:
-    """Let --R1/--R2, --b/--d and --infinite override the scenario threshold."""
-    variant = replace(scenario, threshold=None, pair=None, counts=None, infinite=False)
-    if getattr(args, "r1", None) is not None or getattr(args, "r2", None) is not None:
-        if args.r1 is None or args.r2 is None:
-            raise ScenarioError("--R1 and --R2 must be given together")
-        return replace(variant, pair=ThresholdPair(low=args.r1, high=args.r2))
-    if getattr(args, "infinite", False):
-        return replace(variant, infinite=True)
-    if getattr(args, "b", None) is not None or getattr(args, "d", None) is not None:
-        if scenario.threshold is None:
-            raise ScenarioError("report counts need a single threshold for the senders")
-        counts = MultiRecCount(buys=args.b or 0, dont_buys=args.d or 0)
-        return replace(variant, threshold=scenario.threshold, counts=counts)
-    return scenario
-
-
 def _cmd_multi(scenario: Scenario, args):
-    scenario = _apply_threshold_flags(scenario, args)
     if scenario.kind == "counts":
         counts = scenario.counts
         env = (scenario.quality, scenario.sender_types, scenario.threshold, counts)
@@ -494,29 +476,28 @@ def _cmd_multi(scenario: Scenario, args):
             "b": b,
             "d": d,
         }, None
-    if scenario.kind == "infinite":
-        policy = infinite_learning_policy(scenario.quality)
-        p_1, p_2 = _mixed_shares(scenario.quality)
-        return {
-            "value_infinite": infinite_learning_value(
-                scenario.quality, scenario.receiver_types
-            ),
-            "cutoff": policy.cutoff,
-            "direction": policy.direction,
-            "p_1_mixed": p_1,
-            "p_2_mixed": p_2,
-        }, None
-    raise ScenarioError("multi needs --b/--d, --infinite, or a matching scenario")
+    policy = infinite_learning_policy(scenario.quality)
+    p_1, p_2 = _mixed_shares(scenario.quality)
+    return {
+        "value_infinite": infinite_learning_value(
+            scenario.quality, scenario.receiver_types
+        ),
+        "cutoff": policy.cutoff,
+        "direction": policy.direction,
+        "p_1_mixed": p_1,
+        "p_2_mixed": p_2,
+    }, None
 
 
+# Each command's handler and the threshold variants (Scenario.kind) it takes.
 _COMMANDS = {
-    "evaluate": _cmd_evaluate,
-    "sweep": _cmd_sweep,
-    "optimize": _cmd_optimize,
-    "region-map": _cmd_region_map,
-    "simulate": _cmd_simulate,
-    "decompose": _cmd_decompose,
-    "multi": _cmd_multi,
+    "evaluate": (_cmd_evaluate, ("single", "pair")),
+    "sweep": (_cmd_sweep, ("single",)),
+    "optimize": (_cmd_optimize, ("single",)),
+    "region-map": (_cmd_region_map, ("single", "pair", "counts", "infinite")),
+    "simulate": (_cmd_simulate, ("single", "pair", "counts", "infinite")),
+    "decompose": (_cmd_decompose, ("single",)),
+    "multi": (_cmd_multi, ("counts", "infinite")),
 }
 
 
@@ -546,10 +527,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    handler, variants = _COMMANDS[args.command]
     try:
         with open(args.scenario, "r", encoding="utf-8") as fh:
             scenario = parse_scenario(fh.read())
-        payload, rows = _COMMANDS[args.command](scenario, args)
+        flags = _flag_threshold(args, scenario)
+        if flags is not None:
+            scenario = replace(scenario, **_parse_threshold(flags))
+        if scenario.kind not in variants:
+            raise ScenarioError(
+                f"{args.command} takes a {' or '.join(variants)} threshold,"
+                f" not {scenario.kind}"
+            )
+        payload, rows = handler(scenario, args)
         text = _emit(payload, rows, args)
     except (OSError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)

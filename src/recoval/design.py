@@ -46,7 +46,7 @@ _REFINE_POINTS = 33
 _EDGE_MARGIN = 0.01
 _SIGN_SCAN = 33  # points scanned for a sign change before bisecting
 # largest grid (optimize_threshold, region_map, CLI --steps); a value batch
-# this size with a 31-knot tabulated receiver takes about 1.5 s and 415 MB
+# this size with a 31-knot tabulated receiver takes about 1 s and 50 MB
 MAX_GRID_POINTS = 100_001
 
 # Below this prevalence the boundary-direction classification is exact in

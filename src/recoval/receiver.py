@@ -120,7 +120,8 @@ def region_arrays(objective, subjective) -> tuple[np.ndarray, np.ndarray]:
     nan = np.full(objective.shape, np.nan)
     # all-accept test first: o / 1e-323 can overflow
     divide = ~(np.abs(subjective) <= 2.0 * objective + REGION_EPS) & (subjective != 0.0)
-    cutoff = np.divide(objective, subjective, out=nan, where=divide)
+    with np.errstate(over="ignore"):  # o < 0 over a subnormal s: no type accepts
+        cutoff = np.divide(objective, subjective, out=nan, where=divide)
     favors_1 = subjective < 0.0
     everyone = ~divide | np.where(favors_1, cutoff <= -0.5, cutoff >= 0.5)
     kind = np.where(everyone, ALL, np.where(favors_1, UPPER, LOWER))

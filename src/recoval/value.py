@@ -16,7 +16,7 @@ pins the calls per value (8 version buy probabilities, 6 effect pairs).
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,6 +54,9 @@ from .receiver import (
 )
 
 _AGREEMENT_TOL = 1e-9
+
+# Most (point x CDF breakpoint) cells that one slice of value_core evaluates.
+_SLICE_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -178,7 +181,19 @@ def value_core(masses, phi_1, phi_2, thresholds, dist: TypeDistribution) -> Valu
     ``thresholds[k]`` (arrays of n; the threshold is named in errors); all
     points share the receiver distribution ``dist``.  An accepting type
     gains pi_buy (dO_B - i dS_B), a rejecting one pi_dont (dO_D - i dS_D).
+    A batch runs in slices of at most ``_SLICE_CELLS`` (point x knot) cells.
     """
+    step = max(1, _SLICE_CELLS // (dist.breakpoints.size + 1))
+    if thresholds.size > step:
+        cuts = [slice(k, k + step) for k in range(0, thresholds.size, step)]
+        parts = [
+            value_core(masses[:, s], phi_1[s], phi_2[s], thresholds[s], dist)
+            for s in cuts
+        ]
+        return ValueBatch(*(
+            np.concatenate([getattr(part, f.name) for part in parts], axis=-1)
+            for f in fields(ValueBatch)
+        ))
     pi_buy = sum(_posterior_weights(masses, phi_1, phi_2, Recommendation.BUY)[1])
     # gated on the dont-buy weights: 1 - pi_buy can be an ulp above 0 without them
     dont_weights = _posterior_weights(masses, phi_1, phi_2, Recommendation.DONT_BUY)[1]

@@ -562,6 +562,93 @@ class TestErrors:
         assert err == f"error: RECO_THREADS must be a non-negative integer, got {raw!r}\n"
 
 
+# Every threshold variant as a scenario file's threshold and as flags.
+VARIANTS = {
+    "single": (0.5, ()),
+    "pair": ({"R1": 0.4, "R2": 0.8}, ("--R1", "0.4", "--R2", "0.8")),
+    "counts": ({"b": 2, "d": 1, "R": 0.5}, ("--b", "2", "--d", "1")),
+    "infinite": ("infinite", ("--infinite",)),
+}
+# Each command with the arguments it needs and the variants it takes.
+COMMAND_VARIANTS = {
+    "evaluate": ((), ("single", "pair")),
+    "sweep": (("--param", "R", "--steps", "5"), ("single",)),
+    "optimize": (("--steps", "11"), ("single",)),
+    "region-map": (("--figure", "panelB", "--steps", "5"), tuple(VARIANTS)),
+    "simulate": (("--samples", "2000"), tuple(VARIANTS)),
+    "decompose": ((), ("single",)),
+    "multi": ((), ("counts", "infinite")),
+}
+
+
+def scenario_path(tmp_path, threshold) -> str:
+    doc = json.loads(S1_DOC)
+    doc["threshold"] = threshold
+    path = tmp_path / f"scenario-{len(list(tmp_path.iterdir()))}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestThresholdVariants:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("command", COMMAND_VARIANTS)
+    def test_a_variant_from_the_file_or_from_flags_prints_the_same(
+        self, capsys, tmp_path, command, variant
+    ):
+        argv, takes = COMMAND_VARIANTS[command]
+        spec, flags = VARIANTS[variant]
+        # the flags override a single-threshold file and a report-count file
+        files = [(spec, ())]
+        if flags:
+            files += [(0.5, flags), ({"b": 3, "d": 0, "R": 0.5}, flags)]
+        runs = [
+            run_cli(capsys, command, "--scenario", scenario_path(tmp_path, threshold),
+                    *argv, *extra)
+            for threshold, extra in files
+        ]
+        if variant in takes:
+            assert runs[0][0] == 0 and runs[0][1] != "" and runs[0][2] == ""
+        else:
+            message = f"{command} takes a {' or '.join(takes)} threshold, not {variant}"
+            assert runs[0] == (1, "", f"error: {message}\n")
+        assert all(run == runs[0] for run in runs)
+
+    @pytest.mark.parametrize(
+        "threshold, argv",
+        [
+            (0.5, ("optimize", "--R1", "0.3", "--R2", "0.7")),
+            (0.5, ("sweep", "--param", "R", "--infinite")),
+            (0.5, ("decompose", "--b", "1", "--d", "1")),
+            (0.5, ("region-map", "--figure", "panelB", "--R1", "0.3")),
+            ({"b": 2, "d": 1, "R": 0.5}, ("optimize",)),
+            ({"b": 2, "d": 1, "R": 0.5}, ("decompose",)),
+        ],
+    )
+    def test_threshold_input_a_command_does_not_take_is_an_error_line(
+        self, capsys, tmp_path, threshold, argv
+    ):
+        path = scenario_path(tmp_path, threshold)
+        code, out, err = run_cli(capsys, argv[0], "--scenario", path, *argv[1:])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (
+                ("--R1", "0.9", "--R2", "0.4"),
+                "threshold: need 0 < low <= high < 1, got (0.9, 0.4)",
+            ),
+            (("--R1", "0.3"), "threshold: threshold.R2: expected a number, got None"),
+            (("--b", "-1"), "threshold: need non-negative counts with at least one report"),
+        ],
+        ids=["reversed_pair", "lone_R1", "negative_count"],
+    )
+    def test_flag_errors_take_the_file_wording(self, capsys, s1_path, flags, message):
+        code, out, err = run_cli(capsys, "evaluate", "--scenario", s1_path, *flags)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 class TestOutputFile:
     def test_out_flag_writes_file(self, capsys, s1_path, tmp_path):
         target = tmp_path / "report.json"

@@ -9,10 +9,12 @@ and the two value routes.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -408,6 +410,63 @@ def test_empty_and_reversed_intervals_integrate_to_zero():
     assert out[2] == pytest.approx(2.0 * math.sin(0.1), abs=1e-10)
 
 
+# -- bounded memory: value_core in slices of points --------------------------------
+
+
+def knotted_receiver(knots):
+    """A tabulated receiver with ``knots`` knots, ``knots - 2`` breakpoints."""
+    gaps = np.random.default_rng(knots).uniform(0.5, 1.5, knots - 1)
+    fs = np.concatenate(([0.0], np.cumsum(gaps) / gaps.sum()))
+    xs = np.linspace(LO, HI, knots)
+    return rv.TabulatedTypes(tuple(zip(xs.tolist(), fs.tolist())))
+
+
+@pytest.mark.parametrize(
+    "receiver",
+    [
+        rv.UniformTypes(),
+        rv.PowerTypes(0.55),
+        rv.PowerTypes(2.5),
+        rv.PiecewiseSymmetricTypes(0.2, 0.7),
+        knotted_receiver(11),
+    ],
+    ids=["uniform", "power-0.55", "power-2.5", "piecewise", "tabulated"],
+)
+def test_sliced_batches_equal_one_slice_bit_for_bit(monkeypatch, receiver):
+    quality = rv.QualityDistribution(0.3, 0.25, 0.15, 0.3)
+    system = rv.RecommendationSystem(quality, rv.UniformTypes(), 0.5, receiver)
+    thresholds = np.linspace(0.02, 0.98, 25)
+    whole = rv.system_values(system, thresholds)
+    calls = []
+    core = rv.value.value_core
+    monkeypatch.setattr(rv.value, "value_core", lambda *a: calls.append(1) or core(*a))
+    # 9 points per slice: 9 + 9 + 7
+    monkeypatch.setattr(rv.value, "_SLICE_CELLS", 9 * (receiver.breakpoints.size + 1))
+    sliced = rv.system_values(system, thresholds)
+    assert len(calls) == 1 + 3  # the whole batch, then each slice
+    for field in dataclasses.fields(rv.value.ValueBatch):
+        got, want = getattr(sliced, field.name), getattr(whole, field.name)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes(), field.name
+
+
+def test_value_batch_memory_does_not_grow_with_its_points():
+    receiver = knotted_receiver(101)
+    quality = rv.QualityDistribution(0.3, 0.25, 0.15, 0.3)
+    system = rv.RecommendationSystem(quality, rv.UniformTypes(), 0.5, receiver)
+    peaks = []
+    for n in (2001, 8001):
+        thresholds = np.linspace(0.01, 0.99, n)
+        tracemalloc.start()
+        try:
+            rv.system_values(system, thresholds)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # one slice at 2,001 points, four at 8,001; a whole batch grows about 4x
+    assert peaks[1] < 2 * peaks[0]
+
+
 # -- array input on the distributions ------------------------------------------------
 
 
@@ -708,11 +767,16 @@ def test_region_rule_on_one_pair_equals_the_scalar_branches(d_o, d_s, on_edge):
     pair = rv.EffectPair(d_o, d_s, rv.Recommendation.BUY)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rv.receiver, "effects", lambda system, rec: pair)
-        # a negative objective over a subnormal subjective effect overflows
-        # to an infinite cutoff in both rules; numpy also warns
-        with np.errstate(over="ignore"):
-            region = rv.acceptance_region(SUBNORMAL)
+        region = rv.acceptance_region(SUBNORMAL)
     assert (region.kind, region.cutoff) == parent_acceptance_region(d_o, d_s)
+
+
+def test_a_negative_objective_over_a_subnormal_subjective_effect_is_silent():
+    # the gain -1e-6 - i 5e-324 is negative for every type: nobody accepts
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kind, cutoff = rv.receiver.region_arrays(np.array([-1e-6]), np.array([5e-324]))
+    assert (kind.tolist(), cutoff.tolist()) == ([rv.receiver.LOWER], [-math.inf])
 
 
 def parent_controversial_gain_integral(quality, dist):
