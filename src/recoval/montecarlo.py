@@ -12,19 +12,30 @@ does not grow with the sample count.  Worker parallelism is capped by the
 ``RECO_THREADS`` environment variable (0 or unset = auto; anything but a
 non-negative integer is a ``ModelError``).
 
+``_run_blocks`` owns the uniforms: each worker keeps one
+``4 x BLOCK_SIZE`` buffer for the whole estimate, and a block asks for
+its next ``rows x count`` uniforms with ``draw(rows)``, which fills the
+front of that buffer from the block's generator in stream order.  A
+block that allocated its own uniforms and a few block-sized temporaries
+freed them all at its end; glibc then gave the pages back to the kernel
+and the next block faulted them in again, which cost a quarter of the
+CPU time of an estimate.  The block kernels below work in place where a
+temporary is not needed, in the operation order they always had.
+
 ``estimate_single`` takes the buy probability, both posterior tables and
 the value from one pass; CLI ``simulate`` on one threshold makes that
-one call.  Its blocks draw ``rng.random((4, count))``: row 0 versions,
-row 1 senders, row 2 receivers, row 3 alternatives.  A Philox generator
-hands out doubles in stream order, so rows 0 and 1 are the numbers a
-one-report ``multi`` block draws with two ``rng.random(count)`` calls,
-and the fused estimates equal ``estimate_pi_buy``, ``estimate_posterior``
+one call.  Its blocks draw four rows of uniforms: row 0 versions, row 1
+senders, row 2 receivers, row 3 alternatives.  A Philox generator hands
+out doubles in stream order, so rows 0 and 1 are the numbers a
+one-report ``multi`` block draws one row at a time, and the fused
+estimates equal ``estimate_pi_buy``, ``estimate_posterior``
 and ``estimate_value`` bit for bit.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import reduce
@@ -43,13 +54,22 @@ from .receiver import effects
 
 BLOCK_SIZE = 1 << 16
 
-# Most reports a ``multi`` estimate simulates per sample: its cost is
-# reports x samples quantile draws.
+# Most reports a ``multi`` estimate simulates per sample.
 MAX_REPORTS = 1000
 
 # Most samples one estimate draws: 2^20 blocks.  Memory does not grow with
 # the count, but time does: this bounds how long one estimate runs.
 MAX_SAMPLES = 1 << 36
+
+# Most uniforms one estimate draws, samples x draws per sample: a single,
+# pair or infinite estimate at MAX_SAMPLES, or a ``multi`` one at 1 + 3
+# reports.  Time grows with the draws, so this bounds every mode.
+MAX_DRAWS = 4 * MAX_SAMPLES
+
+# Uniforms per sample of the modes with a fixed count; ``multi`` draws the
+# version and then one per report.  No block takes more rows at once.
+_DRAWS_PER_SAMPLE = {"single": 4, "two_threshold": 4, "infinite": 3}
+_ROWS = 4
 
 _W1 = np.array([1.0, 1.0, 0.0, 0.0])
 _W2 = np.array([1.0, 0.0, 1.0, 0.0])
@@ -83,6 +103,14 @@ class SimulationConfig:
                 raise ModelError(f"simulation takes at most {MAX_REPORTS} reports")
             object.__setattr__(self, "buys", counts.buys)
             object.__setattr__(self, "dont_buys", counts.dont_buys)
+            per_sample = 1 + counts.buys + counts.dont_buys
+        else:
+            per_sample = _DRAWS_PER_SAMPLE[self.mode]
+        if self.samples * per_sample > MAX_DRAWS:
+            raise ModelError(
+                f"simulation takes at most {MAX_DRAWS} draws, got {self.samples}"
+                f" samples x {per_sample} draws per sample"
+            )
 
 
 @dataclass(frozen=True)
@@ -137,15 +165,28 @@ def _worker_count(raw: str | None, blocks: int) -> int:
 
 
 def _run_blocks(seed: int, total: int, block_fn):
-    """Sum the tuples ``block_fn(rng, count)`` returns, element by element in
-    block order; several workers take rounds of four blocks per worker."""
+    """Sum the tuples ``block_fn(draw, count)`` returns, element by element in
+    block order; several workers take rounds of four blocks per worker.
+
+    ``draw(rows)`` fills the front of the running worker's buffer with the
+    block's next ``rows x count`` uniforms and returns them as a
+    ``(rows, count)`` view, valid until the block's next ``draw``."""
     blocks = range(-(-total // BLOCK_SIZE))
     key = seed & 0xFFFFFFFFFFFFFFFF  # Philox keys are unsigned
+    worker = threading.local()  # each thread's buffer, made at its first draw
 
     def run(block_index):
         counter = [0, 0, block_index, 0]  # as jumped(block_index), one bit generator
         rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
-        return block_fn(rng, min(BLOCK_SIZE, total - block_index * BLOCK_SIZE))
+        count = min(BLOCK_SIZE, total - block_index * BLOCK_SIZE)
+
+        def draw(rows):
+            buffer = getattr(worker, "buffer", None)
+            if buffer is None:
+                buffer = worker.buffer = np.empty(_ROWS * BLOCK_SIZE)
+            return rng.random(out=buffer[: rows * count].reshape(rows, count))
+
+        return block_fn(draw, count)
 
     def merge(acc, part):
         return tuple(a + b for a, b in zip(acc, part))
@@ -206,21 +247,31 @@ def _sample_versions(quality: QualityDistribution, u: np.ndarray) -> np.ndarray:
 
 
 def _payoffs(versions: np.ndarray, types: np.ndarray) -> np.ndarray:
-    return (0.5 + types) * _W1[versions] + (0.5 - types) * _W2[versions]
+    """(0.5 + types) * W1[versions] + (0.5 - types) * W2[versions]."""
+    pay = types + 0.5
+    pay *= _W1[versions]
+    low = 0.5 - types
+    low *= _W2[versions]
+    pay += low
+    return pay
 
 
 def _gain(buy, versions, alternatives, receivers) -> np.ndarray:
     """Payoff gain of buying where ``buy`` over the baseline that buys the
-    independent alternative product."""
+    independent alternative product: where(buy, payoff, baseline) - baseline."""
     baseline = _payoffs(alternatives, receivers)
-    return np.where(buy, _payoffs(versions, receivers), baseline) - baseline
+    gain = _payoffs(versions, receivers)
+    np.copyto(gain, baseline, where=~buy)
+    gain -= baseline
+    return gain
 
 
 def _moments(gain: np.ndarray, count: int) -> _Moments:
     """Moments of a block's ``count`` samples."""
     s = float(gain.sum())
     dev = gain - s / count
-    return _Moments(s, s / count, float((dev * dev).sum()), count)
+    dev *= dev
+    return _Moments(s, s / count, float(dev.sum()), count)
 
 
 def _buys_controversial(quality: QualityDistribution, types: np.ndarray) -> np.ndarray:
@@ -229,7 +280,16 @@ def _buys_controversial(quality: QualityDistribution, types: np.ndarray) -> np.n
     q = quality
     both = q.q_1 + q.q_2
     lean = (q.q_1 - q.q_2) / both if both > 0.0 else 0.0
-    return 0.5 + types * lean >= q.q_h + (0.5 + types) * q.q_1 + (0.5 - types) * q.q_2
+    # 0.5 + types * lean >= q_h + (0.5 + types) * q_1 + (0.5 - types) * q_2
+    mixed = types * lean
+    mixed += 0.5
+    prior = types + 0.5
+    prior *= q.q_1
+    prior += q.q_h
+    low = 0.5 - types
+    low *= q.q_2
+    prior += low
+    return mixed >= prior
 
 
 def estimate_pi_buy(
@@ -257,8 +317,8 @@ def estimate_single(
     sender_dist, receiver_dist = system.sender_types, system.receiver_types
     eff = effects(system, Recommendation.BUY)
 
-    def block(rng, count):
-        u = rng.random((4, count))
+    def block(draw, count):
+        u = draw(4)
         versions = _sample_versions(quality, u[0])
         rec_buy = _payoffs(versions, sender_dist.quantile(u[1])) >= threshold
         receivers = receiver_dist.quantile(u[2])
@@ -299,17 +359,17 @@ def estimate_two_threshold(
             "two-threshold simulation requires a symmetric population"
         )
 
-    def block(rng, count):
-        u = rng.random((4, count))
+    def block(draw, count):
+        u = draw(4)
         versions = _sample_versions(quality, u[0])
-        senders = dist.quantile(u[1])
-        receivers = dist.quantile(u[2])
-        alternatives = _sample_versions(quality, u[3])
-        sender_pay = _payoffs(versions, senders)
+        sender_pay = _payoffs(versions, dist.quantile(u[1]))
         rec_buy = sender_pay >= pair.high
         rec_dont = sender_pay < pair.low
+        del sender_pay  # each block-sized array lives no longer than it is needed
+        receivers = dist.quantile(u[2])
         buy_neutral = _buys_controversial(quality, receivers)
         buy_product = rec_buy | (~rec_buy & ~rec_dont & buy_neutral)
+        alternatives = _sample_versions(quality, u[3])
         return (_moments(_gain(buy_product, versions, alternatives, receivers), count),)
 
     (value,) = _run_blocks(config.seed, config.samples, block)
@@ -338,11 +398,11 @@ def _estimate_multi_counts(system, config) -> MultiEstimate:
     quality, dist, threshold = system.quality, system.sender_types, system.threshold
     n_reports = config.buys + config.dont_buys
 
-    def block(rng, count):
-        versions = _sample_versions(quality, rng.random(count))
+    def block(draw, count):
+        versions = _sample_versions(quality, draw(1)[0])
         buy_counts = np.zeros(count, dtype=np.int64)
-        for _ in range(n_reports):  # a report at a time: O(count) memory per block
-            senders = dist.quantile(rng.random(count))
+        for _ in range(n_reports):  # a report at a time, each into the one row
+            senders = dist.quantile(draw(1)[0])
             buy_counts += _payoffs(versions, senders) >= threshold
         kept = buy_counts == config.buys
         tallies = np.bincount(versions[kept], minlength=4).astype(float)
@@ -357,8 +417,8 @@ def _estimate_infinite(system, config) -> MultiEstimate:
     quality = system.quality
     dist = system.receiver_types
 
-    def block(rng, count):
-        u = rng.random((3, count))
+    def block(draw, count):
+        u = draw(3)
         versions = _sample_versions(quality, u[0])
         receivers = dist.quantile(u[1])
         alternatives = _sample_versions(quality, u[2])

@@ -86,6 +86,17 @@ any_types = (
     | tabulated_types()
 )
 
+def reference_quantile(dist, u):
+    """A type distribution's quantile; for a piecewise-linear one, the
+    formula it used before its guide table: every segment row gathered at
+    once, at the index ``np.searchsorted`` on the knots gives."""
+    if not isinstance(dist, (rv.PiecewiseSymmetricTypes, rv.TabulatedTypes)):
+        return dist.quantile(u)
+    x0, f0, dx, df = dist._segments.take(np.searchsorted(dist._f, u), axis=1)
+    x = np.asarray(x0 + (u - f0) * dx / df)
+    return np.minimum(x, 0.5, out=x)
+
+
 # Quality vectors, often with zero-mass versions.
 probability_vectors = (
     st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=4, max_size=4)

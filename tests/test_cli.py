@@ -554,6 +554,22 @@ class TestErrors:
         assert (code, out) == (1, "")
         assert err == f"error: simulation takes at most {cap} samples\n"
 
+    def test_oversized_draw_count_is_an_error_line(self, capsys, tmp_path):
+        # 1000 reports at the sample cap: about 16 days on one worker
+        doc = json.loads(S1_DOC)
+        doc["threshold"] = {"b": 600, "d": 400, "R": 0.5}
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps(doc))
+        cap = rv.montecarlo.MAX_SAMPLES
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", str(path), "--samples", str(cap)
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: simulation takes at most {rv.montecarlo.MAX_DRAWS} draws,"
+            f" got {cap} samples x 1001 draws per sample\n"
+        )
+
     @pytest.mark.parametrize("raw", ["two", "-1"])
     def test_bad_thread_count_is_an_error_line(self, capsys, s1_path, monkeypatch, raw):
         monkeypatch.setenv("RECO_THREADS", raw)

@@ -13,6 +13,7 @@ from conftest import (
     any_types,
     piecewise_types,
     random_symmetric_tabulated,
+    reference_quantile,
     tabulated_types,
 )
 
@@ -94,6 +95,21 @@ def test_quantile_vectorized_matches_scalar():
     vec = dist.quantile(u)
     scalars = [dist.quantile(float(x)) for x in u]
     np.testing.assert_allclose(vec, scalars, atol=1e-12)
+
+
+@pytest.mark.parametrize("dist", ALL_FAMILIES)
+@pytest.mark.parametrize(
+    "u", [float("nan"), [0.5, float("nan")], [float("nan"), 0.5], [[0.1], [float("nan")]]]
+)
+def test_quantile_rejects_nan(dist, u):
+    with pytest.raises(ModelError, match=r"quantile argument must lie in \[0, 1\]"):
+        dist.quantile(u)
+
+
+@pytest.mark.parametrize("dist", ALL_FAMILIES)
+def test_quantile_of_no_draws_is_empty(dist):
+    q = dist.quantile(np.empty(0))
+    assert isinstance(q, np.ndarray) and q.shape == (0,)
 
 
 def test_tabulated_matches_uniform_on_linear_points():
@@ -243,6 +259,79 @@ def test_tabulated_quantile_is_within_the_old_bisection_tolerance(dist, us):
 def test_piecewise_quantile_equals_the_segment_walk_bit_for_bit(dist, us):
     u = np.array(us)
     assert np.array_equal(dist.quantile(u), walk_quantile(dist, u))
+
+
+@st.composite
+def clustered_tabulated(draw):
+    """Tabulated CDFs with 2-200 knots whose F gaps run from 1e-12 up, so
+    that many knots can share one guide-table bucket."""
+    n = draw(st.integers(2, 200))
+    gap = st.sampled_from([1e-12, 1e-10, 1e-7, 1e-4]) | st.floats(1e-4, 1.0)
+    gaps = np.array(draw(st.lists(gap, min_size=n - 1, max_size=n - 1)))
+    fs = np.concatenate([[0.0], np.cumsum(gaps) / gaps.sum()])
+    fs[-1] = 1.0
+    xs = np.linspace(-0.5, 0.5, n)
+    return rv.TabulatedTypes(points=tuple(zip(xs.tolist(), fs.tolist())))
+
+
+def knot_draws(dist, us):
+    """``us``, 0 and 1, and every knot's F with both of its neighbours,
+    all in [0, 1]."""
+    f = dist._f
+    u = np.concatenate([us, [0.0, 1.0], f, np.nextafter(f, -1.0), np.nextafter(f, 2.0)])
+    return u[(u >= 0.0) & (u <= 1.0)]
+
+
+@given(
+    clustered_tabulated()
+    | st.builds(rv.PiecewiseSymmetricTypes, st.sampled_from([0.0, 0.5]), st.floats(0.51, 0.99)),
+    st.lists(st.floats(0.0, 1.0), max_size=50),
+)
+@settings(max_examples=200, deadline=None)
+def test_guide_table_index_equals_searchsorted(dist, us):
+    u = knot_draws(dist, us)
+    assert np.array_equal(dist._segment(u), np.searchsorted(dist._f, u))
+    q = dist.quantile(u)
+    assert q.tobytes() == reference_quantile(dist, u).tobytes()
+    # one draw at a time, as the scalar API takes it
+    assert [dist.quantile(float(x)) for x in u[:8]] == q[:8].tolist()
+
+
+def test_guide_table_is_built_at_the_first_draw_and_kept():
+    dist = rv.TabulatedTypes(points=((-0.5, 0.0), (-0.1, 0.25), (0.2, 0.7), (0.5, 1.0)))
+    assert dist._guide is None
+    dist.quantile(0.3)
+    guide = dist._guide
+    buckets, first, passes, padded = guide
+    assert buckets == 16 and first.size == buckets + 2
+    dist.quantile(np.linspace(0.0, 1.0, 9))
+    assert dist._guide is guide
+    assert dist == rv.TabulatedTypes(points=dist.points) and "_guide" not in repr(dist)
+
+
+def test_clustered_knots_stay_within_the_stated_passes():
+    # 190 of 200 knots inside 2e-10 of F = 0.3: one bucket holds them all
+    fs = np.concatenate([
+        np.linspace(0.0, 0.2, 5), 0.3 + np.arange(190) * 1e-12, np.linspace(0.5, 1.0, 5)
+    ])
+    dist = rv.TabulatedTypes(points=tuple(zip(np.linspace(-0.5, 0.5, 200).tolist(), fs)))
+    u = np.concatenate([np.linspace(0.0, 1.0, 1001), fs, np.nextafter(fs, 1.0)])
+    probes = []
+    buckets, first, passes, padded = dist._guide_table()
+    take = padded.take
+
+    class Counting(np.ndarray):
+        def take(self, k):
+            probes.append(np.size(k))
+            return take(k)
+
+    object.__setattr__(dist, "_guide", (buckets, first, passes, padded.view(Counting)))
+    assert np.array_equal(dist._segment(u), np.searchsorted(dist._f, u))
+    # at most 2^passes - 1 knots in a bucket; a pass per bit of that count
+    most = int(np.diff(first).max())
+    assert most >= 190 and passes == most.bit_length() == 8
+    assert passes <= dist._f.size.bit_length()
+    assert probes == [u.size] * passes
 
 
 interval_ends = st.floats(-0.6, 0.6)

@@ -17,7 +17,15 @@ import recoval as rv
 from recoval import cli, montecarlo
 from recoval.errors import ModelError, UnreachableRecommendationError
 
-from conftest import S1, S4_PAIR, S4_QUALITY, S5_QUALITY, any_types, probability_vectors
+from conftest import (
+    S1,
+    S4_PAIR,
+    S4_QUALITY,
+    S5_QUALITY,
+    any_types,
+    probability_vectors,
+    reference_quantile,
+)
 
 REC = rv.Recommendation
 UNIFORM = rv.UniformTypes()
@@ -66,9 +74,17 @@ class TestDeterminism:
         monkeypatch.setenv("RECO_THREADS", "1")
         monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 1)
         seen = []
-        montecarlo._run_blocks(key, 17, lambda rng, count: seen.append(rng) or (count,))
-        assert [philox_state(rng.bit_generator) for rng in seen] == [
-            philox_state(np.random.Philox(key=key).jumped(j)) for j in range(17)
+
+        def block(draw, count):
+            # two draws continue one stream; a view lasts until the next draw
+            first = draw(3).tolist()
+            seen.append(np.concatenate([np.ravel(first), draw(1).ravel()]))
+            return (count,)
+
+        montecarlo._run_blocks(key, 17, block)
+        assert [u.tolist() for u in seen] == [
+            np.random.Generator(np.random.Philox(key=key).jumped(j)).random(4).tolist()
+            for j in range(17)
         ]
         # the counter that _run_blocks gives block j equals j jumps for every
         # block index below MAX_SAMPLES // BLOCK_SIZE = 2^20, and just beyond
@@ -125,7 +141,7 @@ class TestWorkers:
         total = 2 * montecarlo.BLOCK_SIZE + 5
         counts = []
 
-        def block(rng, count):
+        def block(draw, count):
             counts.append(count)
             return (count,)
 
@@ -155,7 +171,7 @@ class TestWorkers:
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setenv("RECO_THREADS", "2")
         total = 19 * montecarlo.BLOCK_SIZE + 1
-        assert montecarlo._run_blocks(3, total, lambda rng, count: (count,)) == (total,)
+        assert montecarlo._run_blocks(3, total, lambda draw, count: (count,)) == (total,)
         assert rounds == [list(range(0, 8)), list(range(8, 16)), list(range(16, 20))]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -165,7 +181,7 @@ class TestWorkers:
         monkeypatch.setenv("RECO_THREADS", threads)
         calls, lock = [], threading.Lock()
 
-        def block(rng, count):
+        def block(draw, count):
             with lock:
                 calls.append(count)
                 first = len(calls) == 1
@@ -181,8 +197,8 @@ class TestWorkers:
 
     def test_blocks_fold_in_block_order_under_thread_switching(self, monkeypatch):
         # strings add by concatenation, so the fold shows the order it took
-        def block(rng, count):
-            return (f"{rng.integers(1 << 30)}:{count},",)
+        def block(draw, count):
+            return (f"{draw(1)[0, 0]!r}:{count},",)
 
         total = 49 * montecarlo.BLOCK_SIZE + 3
         monkeypatch.setenv("RECO_THREADS", "1")
@@ -198,7 +214,7 @@ class TestWorkers:
         assert inline.count(",") == 50 and inline.endswith(":3,")
 
 
-def stub_block(rng, count):
+def stub_block(draw, count):
     """A block result of the shape the estimators fold: moments and a tally."""
     return montecarlo._moments(np.ones(4), 4), np.ones(4)
 
@@ -224,6 +240,50 @@ class TestMemory:
         # at one worker and 7.8 MiB at two; the fold takes about 0.1 MiB
         assert peak - before < 0.5 * 2**20
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_uniforms_take_one_buffer_per_worker(self, monkeypatch, threads):
+        monkeypatch.setenv("RECO_THREADS", str(threads))
+        total = 16 * montecarlo.BLOCK_SIZE + 777
+        seen, lock = [], threading.Lock()
+
+        def block(draw, count):
+            u = draw(4)
+            assert u.shape == (4, count) and u.flags.c_contiguous
+            with lock:
+                seen.append((threading.get_ident(), u))
+            time.sleep(0.002)  # the other worker gets blocks too
+            return (count,)
+
+        assert montecarlo._run_blocks(5, total, block) == (total,)
+        owners = {ident for ident, _ in seen}
+        assert len(owners) == threads
+        for ident, u in seen:
+            for other_ident, other in seen:
+                assert np.shares_memory(u, other) == (ident == other_ident)
+        # the last, partial block fills the front of its worker's buffer
+        ((ident, last),) = [(i, u) for i, u in seen if u.shape[1] == 777]
+        assert all(u.ctypes.data == last.ctypes.data for i, u in seen if i == ident)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_drawing_blocks_hold_one_buffer_per_worker(self, monkeypatch, threads):
+        monkeypatch.setenv("RECO_THREADS", str(threads))
+
+        def block(draw, count):
+            draw(4)
+            return stub_block(draw, count)
+
+        tracemalloc.start()
+        try:
+            montecarlo._run_blocks(1, 8 * montecarlo.BLOCK_SIZE, block)  # warm-up
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            montecarlo._run_blocks(1, 256 * montecarlo.BLOCK_SIZE, block)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        buffer = 4 * montecarlo.BLOCK_SIZE * 8
+        assert peak - before < threads * buffer + 0.5 * 2**20
+
 
 class TestVariance:
     def test_large_common_offset_does_not_cancel(self, monkeypatch):
@@ -234,7 +294,7 @@ class TestVariance:
         blocks = np.split(gains, [montecarlo.BLOCK_SIZE, 2 * montecarlo.BLOCK_SIZE])
         pending = iter(blocks)
         (moments,) = montecarlo._run_blocks(
-            0, gains.size, lambda rng, count: (montecarlo._moments(next(pending), count),)
+            0, gains.size, lambda draw, count: (montecarlo._moments(next(pending), count),)
         )
         est = moments.estimate(seed=0)
         assert est.samples == gains.size
@@ -245,7 +305,8 @@ class TestVariance:
 
 def reference_run_blocks(seed, total, block_fn):
     """Every block's result, in block order: the collect step of the
-    collect-then-reduce that ``_run_blocks`` replaced by a running fold."""
+    collect-then-reduce that ``_run_blocks`` replaced by a running fold.
+    ``block_fn(rng, count)`` draws its own uniforms from ``rng``."""
     blocks = range(0, total, montecarlo.BLOCK_SIZE)
     plans = [(j, min(montecarlo.BLOCK_SIZE, total - start)) for j, start in enumerate(blocks)]
     key = seed & 0xFFFFFFFFFFFFFFFF
@@ -483,9 +544,168 @@ class TestFold:
         config = rv.SimulationConfig(samples=samples, seed=2**64 - 3)
         got = ESTIMATORS[mode](config)
         (block_fn,) = blocks
-        parts = reference_run_blocks(config.seed, samples, block_fn)
+
+        def drawing(rng, count):
+            return block_fn(lambda rows: rng.random((rows, count)), count)
+
+        parts = reference_run_blocks(config.seed, samples, drawing)
         assert len(parts) == -(-samples // montecarlo.BLOCK_SIZE)
         assert bits(got) == bits(reference_estimate(mode, parts, config))
+
+
+def parent_payoffs(versions, types):
+    return (0.5 + types) * montecarlo._W1[versions] + (0.5 - types) * montecarlo._W2[versions]
+
+
+def parent_gain(buy, versions, alternatives, receivers):
+    baseline = parent_payoffs(alternatives, receivers)
+    return np.where(buy, parent_payoffs(versions, receivers), baseline) - baseline
+
+
+def parent_moments(gain, count):
+    s = float(gain.sum())
+    dev = gain - s / count
+    return montecarlo._Moments(s, s / count, float((dev * dev).sum()), count)
+
+
+def parent_buys_controversial(q, types):
+    both = q.q_1 + q.q_2
+    lean = (q.q_1 - q.q_2) / both if both > 0.0 else 0.0
+    return 0.5 + types * lean >= q.q_h + (0.5 + types) * q.q_1 + (0.5 - types) * q.q_2
+
+
+def parent_block(mode):
+    """The block function of each estimate of ``ESTIMATORS`` before the
+    uniforms moved into one buffer per worker: it draws its own from
+    ``rng``, and its helpers allocate each intermediate result."""
+    versions_of = montecarlo._sample_versions
+    if mode == "two_threshold":
+        quality, dist, pair = S4_QUALITY, UNIFORM, S4_PAIR
+
+        def block(rng, count):
+            u = rng.random((4, count))
+            versions = versions_of(quality, u[0])
+            senders = reference_quantile(dist, u[1])
+            receivers = reference_quantile(dist, u[2])
+            alternatives = versions_of(quality, u[3])
+            sender_pay = parent_payoffs(versions, senders)
+            rec_buy = sender_pay >= pair.high
+            rec_dont = sender_pay < pair.low
+            buy_neutral = parent_buys_controversial(quality, receivers)
+            buy_product = rec_buy | (~rec_buy & ~rec_dont & buy_neutral)
+            gain = parent_gain(buy_product, versions, alternatives, receivers)
+            return (parent_moments(gain, count),)
+
+        return block
+    quality, threshold = SKEWED.quality, SKEWED.threshold
+    senders_dist, receivers_dist = SKEWED.sender_types, SKEWED.receiver_types
+    if mode == "single":
+        eff = rv.effects(SKEWED, REC.BUY)
+
+        def block(rng, count):
+            u = rng.random((4, count))
+            versions = versions_of(quality, u[0])
+            senders = reference_quantile(senders_dist, u[1])
+            rec_buy = parent_payoffs(versions, senders) >= threshold
+            receivers = reference_quantile(receivers_dist, u[2])
+            alternatives = versions_of(quality, u[3])
+            accept = eff.objective >= receivers * eff.subjective
+            gain = parent_gain(accept == rec_buy, versions, alternatives, receivers)
+            tallies = np.bincount(2 * versions + rec_buy, minlength=8).reshape(4, 2)
+            return parent_moments(rec_buy, count), tallies.astype(float), parent_moments(
+                gain, count
+            )
+
+        return block
+    if mode == "multi":
+        buys, reports = 2, 3
+
+        def block(rng, count):
+            versions = versions_of(quality, rng.random(count))
+            buy_counts = np.zeros(count, dtype=np.int64)
+            for _ in range(reports):
+                senders = reference_quantile(senders_dist, rng.random(count))
+                buy_counts += parent_payoffs(versions, senders) >= threshold
+            kept = buy_counts == buys
+            tallies = np.bincount(versions[kept], minlength=4).astype(float)
+            return parent_moments(kept, count), tallies
+
+        return block
+
+    def block(rng, count):  # infinite
+        u = rng.random((3, count))
+        versions = versions_of(quality, u[0])
+        receivers = reference_quantile(receivers_dist, u[1])
+        alternatives = versions_of(quality, u[2])
+        good = versions == 0
+        controversial = (versions == 1) | (versions == 2)
+        buy_mixed = parent_buys_controversial(quality, receivers)
+        buy_product = good | (controversial & buy_mixed)
+        gain = parent_gain(buy_product, versions, alternatives, receivers)
+        tallies = np.bincount(versions[controversial], minlength=4).astype(float)
+        return parent_moments(gain, count), tallies
+
+    return block
+
+
+class TestBlockKernels:
+    @pytest.mark.parametrize("mode", sorted(ESTIMATORS))
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_estimates_equal_the_parent_blocks_bit_for_bit(self, monkeypatch, mode, threads):
+        monkeypatch.setenv("RECO_THREADS", threads)
+        # the last block is partial
+        config = rv.SimulationConfig(samples=3 * montecarlo.BLOCK_SIZE + 777, seed=41)
+        parts = reference_run_blocks(config.seed, config.samples, parent_block(mode))
+        assert bits(ESTIMATORS[mode](config)) == bits(reference_estimate(mode, parts, config))
+
+    def test_workers_building_one_guide_table_under_thread_switching(self, monkeypatch):
+        # each worker may build the receiver's guide table at its first draw
+        def fresh():
+            receivers = rv.TabulatedTypes(points=SKEWED.receiver_types.points)
+            assert receivers._guide is None
+            return replace(SKEWED, receiver_types=receivers)
+
+        config = rv.SimulationConfig(samples=9 * montecarlo.BLOCK_SIZE + 5, seed=43)
+        monkeypatch.setenv("RECO_THREADS", "1")
+        inline = rv.estimate_single(fresh(), config)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            monkeypatch.setenv("RECO_THREADS", "5")  # more workers than cores
+            threaded = rv.estimate_single(fresh(), config)
+        finally:
+            sys.setswitchinterval(interval)
+        assert bits(threaded) == bits(inline)
+
+    @given(
+        quality=qualities,
+        types=any_types,
+        buy=st.sampled_from([None, True, False]),
+        seed=st.integers(0, 2**64 - 1),
+        count=st.integers(1, 300),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_in_place_helpers_equal_the_parent_formulas(self, quality, types, buy, seed, count):
+        rng = np.random.default_rng(seed % 2**32)
+        versions = montecarlo._sample_versions(quality, rng.random(count))
+        alternatives = montecarlo._sample_versions(quality, rng.random(count))
+        receivers = types.quantile(np.concatenate([rng.random(count - 1), [1.0]]))
+        picks = rng.random(count) < 0.5 if buy is None else np.full(count, buy)
+        pairs = [
+            (montecarlo._payoffs(versions, receivers), parent_payoffs(versions, receivers)),
+            (
+                montecarlo._gain(picks, versions, alternatives, receivers),
+                parent_gain(picks, versions, alternatives, receivers),
+            ),
+            (
+                montecarlo._buys_controversial(quality, receivers),
+                parent_buys_controversial(quality, receivers),
+            ),
+        ]
+        for got, want in pairs:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        gain = pairs[1][0]
+        assert montecarlo._moments(gain, count) == parent_moments(gain, count)
 
 
 class TestEstimators:
@@ -608,6 +828,24 @@ class TestConfigValidation:
         rv.SimulationConfig(samples=2_000, seed=0, mode="multi", buys=cap - 1, dont_buys=1)
         with pytest.raises(ModelError, match=f"at most {cap} reports"):
             rv.SimulationConfig(samples=2_000, seed=0, mode="multi", buys=cap, dont_buys=1)
+
+    def test_draws_are_capped(self):
+        cap, most = montecarlo.MAX_SAMPLES, montecarlo.MAX_DRAWS
+        assert most == 4 * cap
+        # every single, pair and infinite sample count stays legal
+        for mode in ("single", "two_threshold", "infinite"):
+            assert rv.SimulationConfig(samples=cap, seed=0, mode=mode).samples == cap
+        # a multi sample draws its version and one uniform per report
+        rv.SimulationConfig(samples=cap, seed=0, mode="multi", buys=2, dont_buys=1)
+        with pytest.raises(
+            ModelError,
+            match=f"at most {most} draws, got {cap} samples x 5 draws per sample",
+        ):
+            rv.SimulationConfig(samples=cap, seed=0, mode="multi", buys=2, dont_buys=2)
+        samples = most // 1001
+        rv.SimulationConfig(samples=samples, seed=0, mode="multi", buys=999, dont_buys=1)
+        with pytest.raises(ModelError, match=f"at most {most} draws"):
+            rv.SimulationConfig(samples=samples + 1, seed=0, mode="multi", buys=999, dont_buys=1)
 
     def test_multi_mode_needs_counts(self):
         with pytest.raises(ModelError):
